@@ -69,8 +69,7 @@ class Machine:
             if dev.power is not None:
                 dev.power.tracer = self.tracer
         #: per-card dispatch arbiters, created lazily by
-        #: :meth:`arbiter_for` (card 0's doubles as the legacy
-        #: ``vphi_arbiter`` attribute).
+        #: :meth:`arbiter_for`.
         self.card_arbiters: dict = {}
         self._booted = False
 
@@ -135,19 +134,13 @@ class Machine:
     def arbiter_for(self, card: int = 0, slots=None, policy=None):
         """The dispatch arbiter for one card, created on first use.
 
-        Card 0's arbiter is also published as ``machine.vphi_arbiter``
-        — the legacy machine-wide attribute from the one-card era — and
-        a pre-existing ``vphi_arbiter`` (the traffic harness pre-creates
-        one with plan-specific slots/policy) is adopted as card 0's, so
-        both spellings always name the same object.
+        ``slots`` sizes a newly created arbiter (default: the host's
+        cores) and is ignored once the card has one; ``policy``, when
+        given, switches the arbiter's scheduling policy either way.
         """
         from .vphi.pool import CardArbiter
 
         arb = self.card_arbiters.get(card)
-        if arb is None and card == 0:
-            arb = getattr(self, "vphi_arbiter", None)
-            if arb is not None:
-                self.card_arbiters[0] = arb
         if arb is None:
             arb = CardArbiter(
                 self.sim,
@@ -155,8 +148,6 @@ class Machine:
                 name=f"vphi-arbiter-c{card}",
             )
             self.card_arbiters[card] = arb
-            if card == 0:
-                self.vphi_arbiter = arb
         if policy is not None:
             arb.set_policy(policy)
         return arb

@@ -396,10 +396,11 @@ class VPhiFrontend:
             agg = sum(r for r in results if isinstance(r, (int, float)))
             in_data = np.concatenate(gathered) if gathered else None
             return agg, in_data
-        result, data = yield from self._submit_one(
-            op, handle, args, out_data, in_nbytes, in_sink=in_sink
-        )
-        return result, data
+        [pair] = yield from self._do_submit_batch([BatchCall(
+            op=op, handle=handle, args=args, out_data=out_data,
+            in_nbytes=in_nbytes, in_sink=in_sink,
+        )])
+        return pair
 
     def submit_batch(self, calls: Sequence[BatchCall]):
         """Process: forward several requests with coalesced kicks.
@@ -436,10 +437,16 @@ class VPhiFrontend:
         finally:
             adm.finish(self.sim.now - t0, n=len(calls))
 
-    def _do_submit_batch(self, calls: list):
-        """The already-admitted body of :meth:`submit_batch`."""
-        t0_batch = self.sim.now
-        acc = self.tracer.accumulate
+    def _do_submit_batch(self, calls: list, replay: bool = False):
+        """The already-admitted body of :meth:`submit_batch` — and of
+        every other submission: a single request is a batch of one.
+
+        ``replay`` marks a session-recovery replay: it bypasses the
+        degraded-mode submit gate (the recovery process is itself what
+        makes the session active again) and skips the journal hook (the
+        journal already holds the fact being replayed).
+        """
+        t0 = self.sim.now
         prepared: list[_Prepared] = []
         try:
             # post every chain, kicking only when the ring runs out of
@@ -455,7 +462,7 @@ class VPhiFrontend:
                 if self.virtio.ring.num_free < p.needed_descriptors and unkicked:
                     yield from self._kick(unkicked)
                     unkicked = []
-                yield from self._post_chain(p)
+                yield from self._post_chain(p, replay=replay)
                 unkicked.append(p)
             if unkicked:
                 yield from self._kick(unkicked)
@@ -465,27 +472,32 @@ class VPhiFrontend:
             first_error: Optional[Exception] = None
             for p in prepared:
                 try:
-                    resp = yield from self._complete(p)
+                    resp = yield from self._complete(p, replay=replay)
                 except ScifError as err:
                     if first_error is None:
                         first_error = err
+                    # _complete closes the span on most failures; one
+                    # raised out of a session wait leaves it open.
+                    self.tracer.end_span(p.span, "error")
                     out.append((None, None))
                     continue
                 result, in_data = yield from self._finish(p, resp)
-                self.session.record(p.spec, p.orig_handle, p.req.args, result)
+                if not replay:
+                    self.session.record(p.spec, p.orig_handle, p.req.args, result)
                 out.append((result, in_data))
-                self.tracer.observe(p.spec.latency_key, self.sim.now - t0_batch)
             if first_error is not None:
                 # requests that did complete keep their "ok" spans even
-                # though the batch as a whole raises (the failed ones
-                # were closed with their real status by _complete).
+                # though the batch as a whole raises.
                 for p in prepared:
                     self.tracer.end_span(p.span, "ok")
                 raise first_error
             # one response demux + syscall return for the whole batch
             yield self.sim.timeout(self.costs.guest_return)
-            acc("vphi.phase.guest_return", self.costs.guest_return)
+            self.tracer.accumulate("vphi.phase.guest_return",
+                                   self.costs.guest_return)
+            latency = self.sim.now - t0
             for p in prepared:
+                self.tracer.observe(p.spec.latency_key, latency)
                 self.tracer.mark(p.span, SPAN_GUEST_RETURN)
                 self.tracer.end_span(p.span, "ok")
             return out
@@ -497,48 +509,6 @@ class VPhiFrontend:
                 # duplicate-tag SimErrors, ...): close it so no span
                 # ever leaks in the active table.
                 self.tracer.end_span(p.span, "error")
-
-    def _submit_one(
-        self,
-        op: VPhiOp,
-        handle: int = 0,
-        args: Optional[dict] = None,
-        out_data: Optional[np.ndarray] = None,
-        in_nbytes: int = 0,
-        replay: bool = False,
-        in_sink=None,
-    ):
-        """One ring submission (at most ring-size/2 data descriptors).
-
-        ``replay`` marks a session-recovery replay: it bypasses the
-        degraded-mode submit gate (the recovery process is itself what
-        makes the session active again) and skips the journal hook (the
-        journal already holds the fact being replayed).
-        """
-        t0_req = self.sim.now
-        acc = self.tracer.accumulate
-        p = yield from self._prepare(op, handle, args, out_data, in_nbytes,
-                                     in_sink=in_sink)
-        try:
-            yield from self._post_chain(p, replay=replay)
-            yield from self._kick([p])
-            resp = yield from self._complete(p, replay=replay)
-            result, in_data = yield from self._finish(p, resp)
-            if not replay:
-                self.session.record(p.spec, p.orig_handle, p.req.args, result)
-            # response demux + syscall return to user space
-            yield self.sim.timeout(self.costs.guest_return)
-            acc("vphi.phase.guest_return", self.costs.guest_return)
-            self.tracer.observe(p.spec.latency_key, self.sim.now - t0_req)
-            self.tracer.mark(p.span, SPAN_GUEST_RETURN)
-            self.tracer.end_span(p.span, "ok")
-            return result, in_data
-        finally:
-            p.release(self.kmalloc)
-            # idempotent close: a no-op on the normal path, the span's
-            # last line of defence on any exception path _complete did
-            # not already classify.
-            self.tracer.end_span(p.span, "error")
 
     # ------------------------------------------------------------------
     # the four stages every submission goes through

@@ -303,22 +303,10 @@ class OpSpec:
 def _compile_marshal(op_name: str, args: tuple[ArgSpec, ...]) -> Callable:
     """Build the per-op marshal closure.
 
-    The plan is resolved at registry-build time: the known-name set, the
-    (name, default, convert) triples and the no-argument fast path are
-    all baked into the closure, so a hot-path ``marshal()`` does no spec
-    introspection at all.
+    The plan is resolved at registry-build time: the known-name set and
+    the (name, default, convert) triples are baked into the closure, so
+    a hot-path ``marshal()`` does no spec introspection at all.
     """
-    if not args:
-        def marshal_empty(call_args: dict, _name=op_name) -> dict:
-            if call_args:
-                raise ScifError(
-                    f"vphi op {_name!r}: unexpected argument(s) "
-                    f"{sorted(call_args)}"
-                )
-            return {}
-
-        return marshal_empty
-
     plan = tuple((a.name, a.default, a.convert) for a in args)
     known = frozenset(a.name for a in args)
 

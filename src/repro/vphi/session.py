@@ -594,7 +594,7 @@ class SessionManager:
                    args: Optional[dict] = None):
         """Process: one replayed op with bounded retries.
 
-        Replay rides the normal submit path (``_submit_one`` with
+        Replay rides the normal submit path (a batch of one with
         ``replay=True``: no policy gate — the recovery process itself is
         what makes the session active again — and no journal hook: the
         journal already holds this fact).  EStaleEpoch propagates (a new
@@ -602,12 +602,14 @@ class SessionManager:
         by the settle delay, because the card-side peer may still be
         re-establishing its listeners and windows.
         """
+        from .frontend import BatchCall  # the frontend imports this module
+
         fe = self.frontend
         last: Optional[ScifError] = None
         for attempt in range(REPLAY_ATTEMPTS):
             try:
-                result, data = yield from fe._submit_one(
-                    op, handle, args, replay=True
+                [(result, data)] = yield from fe._do_submit_batch(
+                    [BatchCall(op, handle, args)], replay=True
                 )
             except EStaleEpoch:
                 raise

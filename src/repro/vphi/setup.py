@@ -18,7 +18,6 @@ from .backend import VPhiBackend
 from .config import VPhiConfig
 from .frontend import VPhiFrontend
 from .guest_libscif import GuestScif
-from .pool import CardArbiter
 
 __all__ = ["VPhiInstance", "install_vphi"]
 
@@ -94,17 +93,7 @@ def install_vphi(machine, vm, config: Optional[VPhiConfig] = None,
     # created so blocking-mode machines carry no arbiter at all.
     arbiter = None
     if config.pooled:
-        arbiter_for = getattr(machine, "arbiter_for", None)
-        if arbiter_for is not None:
-            arbiter = arbiter_for(card, policy=arbiter_policy)
-        else:  # duck-typed machine without the per-card helper
-            arbiter = getattr(machine, "vphi_arbiter", None)
-            if arbiter is None:
-                arbiter = CardArbiter(machine.sim,
-                                      slots=machine.host_params.cores)
-                machine.vphi_arbiter = arbiter
-            if arbiter_policy is not None:
-                arbiter.set_policy(arbiter_policy)
+        arbiter = machine.arbiter_for(card, policy=arbiter_policy)
         # the tenant's QoS identity lives in its own VPhiConfig; the
         # shared arbiter learns it at install time (and re-learns it on
         # reinstall — configure() is safe mid-flight).

@@ -50,6 +50,13 @@ class TestConservation:
         arbiter holds its full credit complement afterwards."""
         result = run_plan(small_plan(policy))
         result.check_conservation()  # raises on a stranded arrival
+        # one card, one arbiter: every tenant dispatches through the one
+        # the harness pre-created at the plan's slots and policy
+        arb = result.machine.arbiter_for(0)
+        assert result.machine.card_arbiters == {0: arb}
+        assert all(load.vm.vphi.backend.pool.arbiter is arb
+                   for load in result.loads)
+        assert (arb.slots, arb.policy) == (result.plan.slots, policy)
         total = sum(load.offered for load in result.loads)
         assert total > 0, f"seed {CHAOS_SEED}: no arrivals generated"
         shed = sum(load.shed for load in result.loads)

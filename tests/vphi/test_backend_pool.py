@@ -14,6 +14,7 @@ import pytest
 
 from repro import FaultKind, FaultPlan, FaultSpec, Machine
 from repro.faults import ENODEV
+from repro.phi import Scope
 from repro.scif.endpoint import EpState
 from repro.scif.errors import EBADF
 from repro.sim import SimError, Simulator
@@ -377,3 +378,94 @@ class TestEndpointReopen:
         m.run()
         assert vm.vphi.backend.endpoint_reopens == 0
         assert vm.tracer.counters["vphi.backend.bogus_reopens"] == 1
+
+
+# ----------------------------------------------------------------------
+# drain-level fixed-cost accounting
+# ----------------------------------------------------------------------
+def echo_window_server(machine, port, size, rounds):
+    """Card-side peer: register a window, then echo ``rounds`` messages."""
+    sproc = machine.card_process(f"echo{port}")
+    slib = machine.scif(sproc)
+    ready = machine.sim.event()
+
+    def server():
+        ep = yield from slib.open()
+        yield from slib.bind(ep, port)
+        yield from slib.listen(ep)
+        conn, _ = yield from slib.accept(ep)
+        vma = sproc.address_space.mmap(size, populate=True)
+        roff = yield from slib.register(conn, vma.start, size)
+        ready.succeed(roff)
+        for _ in range(rounds):
+            msg = yield from slib.recv(conn, 64)
+            yield from slib.send(conn, msg)
+
+    machine.sim.spawn(server())
+    return ready
+
+
+class TestBatchFixedCost:
+    """``vphi.backend.batch_fixed_cost`` is the sum, over every pooled
+    request, of its op's declarative pre + post host costs — scaled by
+    the card's cost multiplier when a power model is armed."""
+
+    ROUNDS = 4
+
+    def _run_mix(self, m, tenants=3):
+        vm = pooled_vm(m, workers=2)
+        card = m.card_node_id(0)
+        clients = []
+        for i in range(tenants):
+            port = PORT + 10 + i
+            ready = echo_window_server(m, port, 16 * KB, self.ROUNDS)
+            gproc = vm.guest_process(f"app{i}")
+            glib = vm.vphi.libscif(gproc)
+
+            def client(glib=glib, gproc=gproc, port=port, ready=ready):
+                ep = yield from glib.open()
+                yield from glib.connect(ep, (card, port))
+                roff = yield ready
+                lvma = gproc.address_space.mmap(16 * KB, populate=True)
+                loff = yield from glib.register(ep, lvma.start, 16 * KB)
+                for _ in range(self.ROUNDS):
+                    yield from glib.send(ep, b"p" * 64)
+                    yield from glib.recv(ep, 64)
+                    yield from glib.readfrom(ep, loff, 4 * KB, roff)
+
+            clients.append(vm.spawn_guest(client()))
+        m.run()
+        assert all(c.triggered for c in clients)
+        return vm
+
+    @staticmethod
+    def _expected(vm) -> float:
+        costs = vm.vphi.backend.lib.costs
+        total = 0.0
+        for spec in registered_ops():
+            n = vm.tracer.counters.get(spec.pooled_key, 0)
+            for keys in (spec.pre_cost, spec.post_cost):
+                if isinstance(keys, tuple):
+                    total += n * sum(getattr(costs, k) for k in keys)
+        return total
+
+    def test_sums_pre_and_post_costs_over_pooled_requests(self):
+        vm = self._run_mix(Machine(cards=1).boot())
+        counters = vm.tracer.counters
+        for op in ("send", "recv", "readfrom"):
+            assert counters[f"vphi.op.{op}.pooled"] >= self.ROUNDS
+        got = vm.tracer.accumulators["vphi.backend.batch_fixed_cost"]
+        assert got > 0
+        assert got == pytest.approx(self._expected(vm), rel=1e-12)
+
+    def test_power_cap_scales_the_sum(self):
+        m = Machine(cards=1, power_model="knc").boot()
+        # a cap below idle power pins the governor at its deepest state
+        # for the whole run, so one multiplier prices every drain
+        m.pepc().set_tdp(20.0, Scope.one_card(0))
+        vm = self._run_mix(m)
+        mult = m.devices[0].power.cost_multiplier()
+        assert mult > 1.0
+        assert vm.tracer.counters["vphi.backend.throttled_ops"] > 0
+        got = vm.tracer.accumulators["vphi.backend.batch_fixed_cost"]
+        assert got == pytest.approx(mult * self._expected(vm), rel=1e-12)

@@ -17,6 +17,9 @@ from repro.mem import PAGE_SIZE
 from repro.scif import MapFlag, ScifError
 from repro.scif.errors import ENXIO, EStaleEpoch
 from repro.vphi import VPhiConfig
+from repro.vphi.frontend import BatchCall
+from repro.vphi.ops import spec_for
+from repro.vphi.protocol import VPhiOp
 
 PORT = 9100
 KB = 1 << 10
@@ -336,9 +339,12 @@ class TestRecoveryPolicies:
         assert ses.recoveries == 1
         assert ses.aborted_inflight >= 1
 
-    def test_circuit_break_gives_up_after_repeated_resets(self):
+    @pytest.mark.parametrize("via", ["submit", "submit_batch"])
+    def test_circuit_break_gives_up_after_repeated_resets(self, via):
         # every writeto dispatch resets the card; with a 1-reset budget
         # the second fence opens the circuit and the session is BROKEN.
+        # The failed writeto's span must close as an error whether it was
+        # forwarded alone or as a batch member.
         m, vm, ready = self._reset_machine(
             "circuit_break", at=(0, 1, 2, 3),
             recovery_max_resets=1, recovery_window=10.0,
@@ -346,6 +352,18 @@ class TestRecoveryPolicies:
         card = m.card_node_id(0)
         gproc = vm.guest_process("app")
         glib = vm.vphi.libscif(gproc)
+        fe = vm.vphi.frontend
+
+        def writeto(ep, loff, roff):
+            if via == "submit":
+                yield from glib.writeto(ep, loff, WIN, roff)
+                return
+            args = spec_for(VPhiOp.WRITETO).marshal(
+                dict(loffset=loff, nbytes=WIN, roffset=roff)
+            )
+            yield from fe.submit_batch(
+                [BatchCall(VPhiOp.WRITETO, handle=ep.handle, args=args)]
+            )
 
         def client():
             ep = yield from glib.open()
@@ -355,12 +373,12 @@ class TestRecoveryPolicies:
             loff = yield from glib.register(ep, lvma.start, WIN)
             outcomes = []
             try:
-                yield from glib.writeto(ep, loff, WIN, roff)
+                yield from writeto(ep, loff, roff)
             except EStaleEpoch as e:
                 outcomes.append(("broken", e.errno_name))
             # the circuit is open: every further submit fails instantly
             try:
-                yield from glib.writeto(ep, loff, WIN, roff)
+                yield from writeto(ep, loff, roff)
             except EStaleEpoch as e:
                 outcomes.append(("still-broken", e.errno_name))
             return outcomes
@@ -374,6 +392,8 @@ class TestRecoveryPolicies:
         assert ses.state == "broken"
         assert vm.tracer.counters["vphi.session.circuit_open"] == 1
         assert vm.guest_kernel.kmalloc.live == 0
+        writes = [s for s in vm.tracer.spans if s.op == "writeto"]
+        assert [s.status for s in writes] == ["error", "error"]
 
 
 # ----------------------------------------------------------------------
