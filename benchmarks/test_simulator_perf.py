@@ -81,7 +81,7 @@ def test_sg_copy_bandwidth(benchmark):
 
 
 def test_page_granular_address_space_access(benchmark):
-    """4MB of page-wise virtual reads/writes through the page tables."""
+    """4MB of virtual reads/writes through the page tables (one run)."""
     from repro.mem import AddressSpace
 
     space = AddressSpace(PhysicalMemory(64 * MB), "bench")
@@ -93,6 +93,23 @@ def test_page_granular_address_space_access(benchmark):
         return space.read(vma.start, 4 * MB)[-1]
 
     assert benchmark(run) == payload[-1]
+
+
+def test_pin_sg_list_64mb(benchmark):
+    """Populate, pin, scatter-gather and unpin a 64MB buffer (scif_register)."""
+    from repro.mem import AddressSpace
+
+    space = AddressSpace(PhysicalMemory(128 * MB), "bench")
+
+    def run():
+        vma = space.mmap(64 * MB, populate=True)
+        pinned = space.pin(vma.start, 64 * MB)
+        sg = space.sg_list(vma.start, 64 * MB, fault_in=False)
+        pinned.unpin()
+        space.munmap(vma)
+        return sum(e.nbytes for e in sg)
+
+    assert benchmark(run) == 64 * MB
 
 
 def test_end_to_end_request_rate(benchmark):

@@ -113,11 +113,7 @@ class KvmMmu:
         access faults back into :meth:`handle_fault` and resolves against
         the new frames.  Returns the number of pages zapped.
         """
-        zapped = 0
-        for vaddr in range(vma.start, vma.end, PAGE_SIZE):
-            if space.is_present(vaddr):
-                space.unmap_page(vaddr)
-                zapped += 1
+        zapped = space.unmap_range(vma.start, vma.end)
         self.tracer.count("kvm.zap.vma")
         self.tracer.count("kvm.zap.pages", zapped)
         self.tracer.emit("vphi.timeline", "EPT entries zapped for rebuilt mapping",

@@ -3,7 +3,6 @@
 from .address_space import (
     VMA,
     AddressSpace,
-    PTE,
     PinnedPages,
     SGEntry,
     VMAFlag,
@@ -44,7 +43,6 @@ __all__ = [
     "PAGE_SHIFT",
     "PAGE_SIZE",
     "POISON_BYTE",
-    "PTE",
     "PageFault",
     "PhysExtent",
     "PhysicalMemory",

@@ -12,6 +12,7 @@ from repro.mem import (
     PhysicalMemory,
     PinViolation,
     VMAFlag,
+    pages_spanned,
 )
 
 MB = 1 << 20
@@ -173,11 +174,55 @@ class TestPinning:
         with pytest.raises(PinViolation):
             pinned.unpin()
 
+    def test_pin_records_every_page_spanned(self, space):
+        vma = space.mmap(8 * PAGE_SIZE, populate=True)
+        pinned = space.pin(vma.start + 100, 3 * PAGE_SIZE)
+        assert len(pinned._vpns) == pages_spanned(vma.start + 100, 3 * PAGE_SIZE) == 4
+        assert space.pinned_pages() == 4
+        pinned.unpin()
+
+    def test_pin_over_hole_takes_no_pin(self, space):
+        """A pin that faults partway (a VMA gap) must not leak pins on the
+        pages before the gap, or their VMA could never be unmapped."""
+        vma = space.mmap(2 * PAGE_SIZE, addr=0x100000)
+        with pytest.raises(BadAddress):
+            space.pin(vma.start, 3 * PAGE_SIZE)
+        assert space.pinned_pages() == 0
+        space.munmap(vma)
+        assert space.phys.bytes_allocated == 0
+
     def test_munmap_of_pinned_page_rejected(self, space):
-        vma = space.mmap(PAGE_SIZE)
-        space.pin(vma.start, PAGE_SIZE)
-        with pytest.raises(PinViolation):
+        lazy = space.mmap(4 * PAGE_SIZE)
+        space.write(lazy.start, b"x" * 4 * PAGE_SIZE)
+        eager = space.mmap(4 * PAGE_SIZE, populate=True)
+        for vma in (lazy, eager):
+            pinned = space.pin(vma.start + 2 * PAGE_SIZE, PAGE_SIZE)
+            allocated, resident = space.phys.bytes_allocated, space.resident_pages()
+            with pytest.raises(PinViolation):
+                space.munmap(vma)
+            # the rejected call changed nothing
+            assert space.find_vma(vma.start) is vma
+            assert space.resident_pages() == resident
+            assert space.pinned_pages() == 1
+            assert space.phys.bytes_allocated == allocated
+            pinned.unpin()
             space.munmap(vma)
+        assert space.resident_pages() == 0
+        assert space.phys.bytes_allocated == 0
+
+    def test_unmap_page_of_pinned_page_rejected(self, space):
+        vma = space.mmap(2 * PAGE_SIZE)
+        space.write(vma.start, b"y" * 2 * PAGE_SIZE)
+        pinned = space.pin(vma.start, 2 * PAGE_SIZE)
+        allocated = space.phys.bytes_allocated
+        with pytest.raises(PinViolation):
+            space.unmap_page(vma.start + PAGE_SIZE)
+        assert space.is_present(vma.start + PAGE_SIZE)
+        assert space.phys.bytes_allocated == allocated
+        pinned.unpin()
+        space.unmap_page(vma.start + PAGE_SIZE)
+        assert not space.is_present(vma.start + PAGE_SIZE)
+        assert space.phys.bytes_allocated == allocated - PAGE_SIZE
 
     def test_nested_pins(self, space):
         vma = space.mmap(PAGE_SIZE)
