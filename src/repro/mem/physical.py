@@ -16,6 +16,8 @@ out of the representation instead of being faked.
 from __future__ import annotations
 
 import bisect
+import sys
+import weakref
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,6 +34,50 @@ CHUNK_SIZE = 1 << 20  # 1 MiB
 #: (the paper's pinning discussion: an RMA against a swapped-out page reads
 #: whatever now occupies the frame).
 POISON_BYTE = 0xDD
+
+
+class _ChunkPool:
+    """Backing chunks of collected memories, kept for the next memory.
+
+    A fresh 1 MiB array costs 256 host page faults on first touch, or
+    none when the allocator happens to reuse memory it still holds, so a
+    workload that builds a machine, drops it and builds the next one ran
+    at a speed set by the allocator's state.  Recycling chunks makes that
+    cost the same every time.  A chunk still referenced outside its
+    memory (a live view) is left to the garbage collector.
+    """
+
+    #: at most 256 MiB of recycled chunks
+    limit = 256
+
+    def __init__(self):
+        self._free: list[np.ndarray] = []
+
+    def zeros(self) -> np.ndarray:
+        if not self._free:
+            return np.zeros(CHUNK_SIZE, dtype=np.uint8)
+        chunk = self._free.pop()
+        chunk.fill(0)
+        return chunk
+
+    def copy_of(self, data: np.ndarray) -> np.ndarray:
+        """A chunk holding ``data`` (exactly ``CHUNK_SIZE`` bytes)."""
+        if not self._free:
+            return data.copy()
+        chunk = self._free.pop()
+        chunk[:] = data
+        return chunk
+
+    def release(self, chunks: dict) -> None:
+        free = self._free
+        while chunks:
+            _, chunk = chunks.popitem()
+            # two references: ``chunk`` and getrefcount's argument
+            if len(free) < self.limit and sys.getrefcount(chunk) == 2:
+                free.append(chunk)
+
+
+_POOL = _ChunkPool()
 
 
 class PhysExtent:
@@ -117,6 +163,7 @@ class PhysicalMemory:
         self._chunks: dict[int, np.ndarray] = {}
         #: bytes currently allocated (accounting).
         self.bytes_allocated = 0
+        weakref.finalize(self, _POOL.release, self._chunks).atexit = False
 
     # ------------------------------------------------------------------
     # allocation
@@ -205,7 +252,7 @@ class PhysicalMemory:
     def _chunk(self, index: int) -> np.ndarray:
         chunk = self._chunks.get(index)
         if chunk is None:
-            chunk = self._chunks[index] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
+            chunk = self._chunks[index] = _POOL.zeros()
         return chunk
 
     def _spans(self, addr: int, nbytes: int) -> Iterator[tuple[np.ndarray, int, int, int]]:
@@ -298,10 +345,10 @@ class PhysicalMemory:
                 if co == 0 and take == CHUNK_SIZE:
                     # Whole-chunk overwrite: materialize from the payload
                     # directly instead of zero-filling first.
-                    chunks[ci] = data[off : off + CHUNK_SIZE].copy()
+                    chunks[ci] = _POOL.copy_of(data[off : off + CHUNK_SIZE])
                     off += take
                     continue
-                chunk = chunks[ci] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
+                chunk = chunks[ci] = _POOL.zeros()
             chunk[co : co + take] = data[off : off + take]
             off += take
 
@@ -349,10 +396,10 @@ class PhysicalMemory:
             dchunk = dchunks.get(dci)
             if dchunk is None:
                 if dco == 0 and take == CHUNK_SIZE:
-                    dchunks[dci] = schunk[sco : sco + CHUNK_SIZE].copy()
+                    dchunks[dci] = _POOL.copy_of(schunk[sco : sco + CHUNK_SIZE])
                     off += take
                     continue
-                dchunk = dchunks[dci] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
+                dchunk = dchunks[dci] = _POOL.zeros()
             dchunk[dco : dco + take] = schunk[sco : sco + take]
             off += take
 

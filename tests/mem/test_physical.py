@@ -1,5 +1,7 @@
 """PhysicalMemory: allocator, data access, nesting, poisoning."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from repro.mem import (
     POISON_BYTE,
     PhysicalMemory,
 )
-from repro.mem.physical import CHUNK_SIZE
+from repro.mem.physical import _POOL, CHUNK_SIZE
 
 MB = 1 << 20
 
@@ -142,6 +144,26 @@ def test_freed_region_poisoned():
     # direct physical read now sees poison, not the old contents
     got = mem.read(addr, 12)
     assert (got == POISON_BYTE).all()
+
+
+def test_collected_memory_chunks_recycled_as_zeros():
+    """A collected memory's chunks back later memories and read back as
+    zeros; a chunk that a live view still aliases is never handed out."""
+    mem = PhysicalMemory(4 * CHUNK_SIZE)
+    mem.write(0, np.full(2 * CHUNK_SIZE, 0xAB, dtype=np.uint8))
+    _, view = next(mem.iter_views(CHUNK_SIZE, 16))
+    gc.collect()
+    before = len(_POOL._free)
+    del mem
+    gc.collect()
+    assert before == _POOL.limit or len(_POOL._free) > before
+    assert all(chunk is not view.base for chunk in _POOL._free)
+    fresh = [PhysicalMemory(4 * CHUNK_SIZE) for _ in range(4)]
+    for m in fresh:
+        assert not m.read(0, 4 * CHUNK_SIZE).any()
+        m.write(0, np.full(4 * CHUNK_SIZE, 0x11, dtype=np.uint8))
+    assert (view == 0xAB).all()
+    assert len(_POOL._free) <= _POOL.limit
 
 
 def test_fill():
