@@ -8,11 +8,13 @@ shows up as a regression, not as a mysteriously slower test suite.
 """
 
 import numpy as np
+import pytest
 
 from repro import Machine
 from repro.mem import PhysicalMemory, SGEntry
 from repro.pcie import sg_copy
 from repro.sim import Simulator
+from repro.vphi.pool import CardArbiter
 
 MB = 1 << 20
 
@@ -33,6 +35,37 @@ def test_event_loop_throughput(benchmark):
 
     result = benchmark(run)
     assert result > 0
+
+
+@pytest.mark.parametrize("policy", CardArbiter.POLICIES)
+@pytest.mark.parametrize("tenants", [200, 2_000])
+def test_arbiter_grant_cost(benchmark, tenants, policy):
+    """2000 contended grants over ``tenants`` backlogged VMs on one slot.
+
+    Each step releases the slot (the policy picks the next grantee) and
+    queues one more acquire, rotating over the tenants, so the backlog
+    stays near ``tenants`` deep.  The tenants-vs-wall curve: per-grant
+    cost should stay flat as the tenant count grows tenfold.
+    """
+    grants = 2_000
+    vms = [f"vm{i}" for i in range(tenants)]
+
+    def setup():
+        arb = CardArbiter(Simulator(), slots=1, policy=policy)
+        for i, vm in enumerate(vms):
+            arb.configure(vm, weight=(1.0, 2.0, 0.5)[i % 3], priority=i % 4)
+            arb.acquire(vm)
+            arb.acquire(vm)
+        return (arb,), {}
+
+    def run(arb):
+        for k in range(grants):
+            arb.release("bench")
+            arb.acquire(vms[k % tenants])
+        return arb.grants
+
+    benchmark.extra_info["grants_per_round"] = grants
+    assert benchmark.pedantic(run, setup=setup, rounds=5) == grants + 1
 
 
 def test_waitqueue_herd_wakeup(benchmark):

@@ -8,12 +8,13 @@ fast one even though the code is fine — so every floor is **calibrated
 on the same runner, in the same process, right before the measurement**:
 
 * the scheduler gate is floored against a raw ``heapq`` push/pop loop —
-  the primitive the calendar queue replaced.  The optimized kernel runs
-  a full generator-process timeout cycle at 0.14-0.42x the raw-heap
-  rate (measured across runs and commits on a shared 2-vCPU runner);
-  the floor sits at 1/10, so the pre-optimization kernel (~10x slower
-  end to end) trips it on any hardware, but the margin over a loaded
-  runner at the low end of that range is thin.
+  the primitive under the event queue's heap tier.  The kernel runs a
+  full generator-process timeout cycle at 0.49-0.78x the raw-heap rate
+  (7 runs on a shared 2-vCPU runner, with the lane + single-heap queue;
+  the three-tier calendar queue before it measured 0.28-0.40x there,
+  and 0.14-0.42x across earlier runs and commits); the floor sits at
+  1/10, so the pre-optimization kernel (~10x slower end to end) trips
+  it on any hardware.
 * the Fig 5 gate is floored against the two resources the scenario
   consumes — interpreter throughput (the same ``heapq`` loop) and
   memory bandwidth (``np.copyto`` over a large buffer) — taking the
@@ -49,9 +50,9 @@ from repro.workloads import ClientContext, rma_read_throughput
 from test_fig5_throughput import SIZES as FIG5_SIZES
 
 #: scheduler floor: fraction of the raw-heapq reference rate the full
-#: simulator must clear.  Measured 0.14-0.42x on the optimized kernel
-#: across runs and commits on a shared 2-vCPU runner; the pre-calendar
-#: kernel ran ~1/25.
+#: simulator must clear.  Measured 0.49-0.78x with the lane + single-heap
+#: queue on a shared 2-vCPU runner (0.28-0.40x with the three-tier
+#: calendar queue before it); the pre-calendar kernel ran ~1/25.
 EVENTS_HEAP_RATIO_FLOOR = 1 / 10
 
 #: Fig 5 floor, CPU leg: guest bytes per raw-heapq-op-equivalent.

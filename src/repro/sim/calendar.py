@@ -1,23 +1,19 @@
-"""Calendar-queue scheduler for the DES kernel.
+"""Two-tier event queue for the DES kernel.
 
-The simulator's pending-firing queue was a single binary heap.  Two
-observations about this workload make a calendar structure much faster:
+The overwhelmingly dominant schedule in this workload is *zero delay*:
+ring drains, process starts, event callbacks and deferred resumptions
+all land at the current instant.  Those entries go to a plain FIFO
+**lane** (append/popleft, no comparisons); everything later goes to one
+binary **heap**.
 
-* the overwhelmingly dominant schedule is *zero delay* — ring drains,
-  process starts, event callbacks and deferred resumptions all land at
-  the current instant, so they belong in a plain FIFO **lane**, not a
-  priority structure;
-* real timeouts cluster around the current time (device costs are
-  microseconds), so a bucketed **wheel** over a short horizon gives
-  near-O(1) insert/pop, with a plain heap holding the **far** tail
-  beyond the horizon.
-
-Ordering is *exactly* the heap's: every entry carries ``(when, seq)``
-with a globally monotonic ``seq``, and :meth:`pop` always returns the
-globally smallest ``(when, seq)`` across all three tiers — including
-same-timestamp FIFO tie-breaks.  The property suite drives this queue
-and a reference heap with identical random schedules and asserts the
-firing orders are indistinguishable.
+Ordering is *exactly* a single heap's: every entry carries ``(when,
+seq)`` with a globally monotonic ``seq``, and :meth:`pop` always returns
+the smaller of the two tier heads — including same-timestamp FIFO
+tie-breaks.  Lane entries are pushed in ``seq`` order at a
+non-decreasing current time, so the lane is itself sorted and its head
+is its minimum.  The property suite drives this queue and a reference
+heap with identical random schedules and asserts the firing orders are
+indistinguishable.
 
 Entries are mutable ``[when, seq, thunk]`` records; cancellation nulls
 the thunk (a lazy-delete tombstone) and the queue compacts itself when
@@ -27,7 +23,8 @@ interrupted waiters cannot grow the queue without bound.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 __all__ = ["CalendarQueue"]
@@ -39,36 +36,21 @@ Entry = list
 class CalendarQueue:
     """Time-ordered queue of ``(when, seq, thunk)`` firings.
 
-    Three tiers, popped in global ``(when, seq)`` order:
+    Two tiers, popped in global ``(when, seq)`` order:
 
-    * ``lane``  — FIFO deque of entries pushed at the current instant
-      (``when <= now`` at push time); append/popleft, no comparisons.
-    * ``wheel`` — ``nbuckets`` mini-heaps of width ``width`` seconds
-      covering ``[base, base + nbuckets*width)``.
-    * ``far``   — one heap for everything beyond the wheel horizon;
-      refills the wheel whenever the nearer tiers drain.
+    * ``lane`` — FIFO deque of entries pushed at the current instant
+      (``when == now`` at push time).
+    * ``heap`` — one binary heap for every later firing.
     """
 
-    __slots__ = ("_lane", "_buckets", "_far", "_nbuckets", "_width",
-                 "_base", "_horizon", "_cur", "_wheel_count", "_seq",
-                 "_live", "tombstones", "compactions",
-                 "compact_threshold")
+    __slots__ = ("_lane", "_heap", "_seq", "_live", "tombstones",
+                 "compactions", "compact_threshold")
 
-    def __init__(self, width: float = 4e-6, nbuckets: int = 256,
-                 compact_threshold: int = 64):
-        from collections import deque
-
+    def __init__(self, compact_threshold: int = 64):
         self._lane: deque = deque()
-        self._nbuckets = nbuckets
-        self._buckets: list[list] = [[] for _ in range(nbuckets)]
-        self._far: list = []
-        self._width = width
-        self._base = 0.0
-        self._horizon = nbuckets * width
-        self._cur = 0
-        self._wheel_count = 0
+        self._heap: list = []
         self._seq = 0
-        #: live (non-tombstone) entries across all tiers.
+        #: live (non-tombstone) entries across both tiers.
         self._live = 0
         #: current number of cancelled-but-unreaped entries.
         self.tombstones = 0
@@ -87,36 +69,11 @@ class CalendarQueue:
         entry: Entry = [when, seq, thunk]
         self._live += 1
         if when == now:
-            # the same-tick fast lane: seq order *is* FIFO order here,
-            # so appending keeps the global (when, seq) invariant
+            # seq order *is* FIFO order at one instant, so appending
+            # keeps the lane sorted by (when, seq)
             self._lane.append(entry)
-            return entry
-        if when < self._base:
-            # a peek()/pop(limit) against a far-future head rebased the
-            # wheel past this time (e.g. run(until=...) parking on a
-            # distant timeout, then new near-term work arriving).  If
-            # the wheel is empty rewind it to ``when``; otherwise spill
-            # to the far heap — _head() compares the far head against
-            # every tier, so ordering stays global either way.
-            if self._wheel_count == 0:
-                self._rebase(when)
-            else:
-                heapq.heappush(self._far, entry)
-                return entry
-        if when < self._horizon:
-            i = int((when - self._base) / self._width)
-            if i >= self._nbuckets:  # float edge at the horizon boundary
-                heapq.heappush(self._far, entry)
-            else:
-                heapq.heappush(self._buckets[i], entry)
-                self._wheel_count += 1
-                if i < self._cur:
-                    # the cursor skipped this (then-empty) bucket while
-                    # hunting a later head; rewind so the new earlier
-                    # entry is found first
-                    self._cur = i
         else:
-            heapq.heappush(self._far, entry)
+            heappush(self._heap, entry)
         return entry
 
     def cancel(self, entry: Entry) -> None:
@@ -131,141 +88,45 @@ class CalendarQueue:
             self.compact()
 
     def compact(self) -> None:
-        """Drop every tombstone from every tier in one pass."""
+        """Drop every tombstone from both tiers in one pass."""
         self.compactions += 1
-        from collections import deque
-
         self._lane = deque(e for e in self._lane if e[2] is not None)
-        count = 0
-        for i, bucket in enumerate(self._buckets):
-            if bucket:
-                live = [e for e in bucket if e[2] is not None]
-                if len(live) != len(bucket):
-                    heapq.heapify(live)
-                    self._buckets[i] = live
-                count += len(self._buckets[i])
-        self._wheel_count = count
-        far = [e for e in self._far if e[2] is not None]
-        if len(far) != len(self._far):
-            heapq.heapify(far)
-            self._far = far
+        heap = [e for e in self._heap if e[2] is not None]
+        heapify(heap)
+        self._heap = heap
         self.tombstones = 0
 
     # ------------------------------------------------------------------
-    def _wheel_head(self) -> Optional[Entry]:
-        """Smallest live wheel entry, purging dead heads; None if empty."""
-        while self._wheel_count:
-            bucket = self._buckets[self._cur]
-            while bucket:
-                head = bucket[0]
-                if head[2] is None:
-                    heapq.heappop(bucket)
-                    self._wheel_count -= 1
-                    self.tombstones -= 1
-                    continue
-                return head
-            self._cur = (self._cur + 1) % self._nbuckets
-        return None
-
-    def _far_head(self) -> Optional[Entry]:
-        far = self._far
-        while far:
-            head = far[0]
-            if head[2] is None:
-                heapq.heappop(far)
-                self.tombstones -= 1
-                continue
-            return head
-        return None
-
-    def _lane_head(self) -> Optional[Entry]:
-        lane = self._lane
-        while lane:
-            head = lane[0]
-            if head[2] is None:
-                lane.popleft()
-                self.tombstones -= 1
-                continue
-            return head
-        return None
-
-    def _rebase(self, start: float) -> None:
-        """Re-center the empty wheel at ``start`` and refill it from far."""
-        self._base = start
-        self._horizon = start + self._nbuckets * self._width
-        self._cur = 0
-        far = self._far
-        while far:
-            head = far[0]
-            if head[2] is None:
-                heapq.heappop(far)
-                self.tombstones -= 1
-                continue
-            if head[0] >= self._horizon:
-                break
-            heapq.heappop(far)
-            i = int((head[0] - self._base) / self._width)
-            if i < 0:
-                # a rewind rebase (push below base) can find far entries
-                # even earlier than ``start``; bucket heaps keep them
-                # ordered, so the front bucket is always safe
-                i = 0
-            elif i >= self._nbuckets:
-                i = self._nbuckets - 1
-            heapq.heappush(self._buckets[i], head)
-            self._wheel_count += 1
-
-    def _head(self) -> Optional[Entry]:
-        """The globally smallest live entry (not removed).
-
-        The far heap is compared against the other tiers unconditionally:
-        after a rebase against a far-future head, a later push can land
-        in the far heap with a time *below* ``_base`` (see :meth:`push`),
-        so a non-empty wheel does not mean the wheel holds the minimum.
-        """
-        lane = self._lane_head()
-        wheel = self._wheel_head()
-        far = self._far_head()
-        if wheel is None and far is not None and (
-            lane is None
-            or far[0] < lane[0]
-            or (far[0] == lane[0] and far[1] < lane[1])
-        ):
-            # wheel drained and the far tail holds the global head:
-            # pull it into a re-centered wheel
-            self._rebase(far[0])
-            wheel = self._wheel_head()
-            far = self._far_head()
-        best = lane
-        if wheel is not None and (best is None
-                                  or (wheel[0], wheel[1]) < (best[0], best[1])):
-            best = wheel
-        if far is not None and (best is None
-                                or (far[0], far[1]) < (best[0], best[1])):
-            best = far
-        return best
-
     def peek(self) -> Optional[float]:
         """Time of the next live firing, or None if the queue is empty."""
-        head = self._head()
-        return None if head is None else head[0]
+        lane, heap = self._lane, self._heap
+        while lane and lane[0][2] is None:
+            lane.popleft()
+            self.tombstones -= 1
+        while heap and heap[0][2] is None:
+            heappop(heap)
+            self.tombstones -= 1
+        if lane and not (heap and heap[0] < lane[0]):
+            return lane[0][0]
+        return heap[0][0] if heap else None
 
     def pop(self, limit: Optional[float] = None) -> Optional[Entry]:
         """Remove and return the next live entry; None if empty or if its
         time exceeds ``limit``."""
-        head = self._head()
-        if head is None or (limit is not None and head[0] > limit):
-            return None
-        if self._lane and self._lane[0] is head:
-            self._lane.popleft()
-        else:
-            bucket = self._buckets[self._cur]
-            if bucket and bucket[0] is head:
-                heapq.heappop(bucket)
-                self._wheel_count -= 1
+        lane, heap = self._lane, self._heap
+        while True:
+            if lane and not (heap and heap[0] < lane[0]):
+                if limit is not None and lane[0][0] > limit:
+                    return None
+                head = lane.popleft()
+            elif heap:
+                if limit is not None and heap[0][0] > limit:
+                    return None
+                head = heappop(heap)
             else:
-                # head lives in the far heap: either the wheel is empty,
-                # or the far heap holds sub-base entries after a rebase
-                heapq.heappop(self._far)
-        self._live -= 1
-        return head
+                return None
+            if head[2] is None:
+                self.tombstones -= 1
+                continue
+            self._live -= 1
+            return head

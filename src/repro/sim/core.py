@@ -171,16 +171,25 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds ``delay`` seconds after creation."""
+    """An event that succeeds ``delay`` seconds after creation.
+
+    Its ``name`` stays empty: timeouts are built on every simulated
+    delay, so the ``timeout(<delay>)`` label is formatted only where it
+    is shown — :meth:`__repr__`, which error messages fall back to.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
-        super().__init__(sim, name=f"timeout({delay:g})")
+        super().__init__(sim)
         self.delay = delay
         self.succeed(value, delay=delay)
+
+    def __repr__(self) -> str:
+        state = "fired" if self._fired else "triggered"
+        return f"<Timeout timeout({self.delay:g}) {state}>"
 
 
 class Domain:
@@ -325,6 +334,11 @@ class Process(Event):
             return
         if self._pending_throw is not None and exc is None:
             exc, self._pending_throw = self._pending_throw, None
+        if exc is not None:
+            # a throw can land after a deferred resumption registered the
+            # process on its next event; leave that wait, or the stale
+            # event resumes the process again later with its own value
+            self._detach()
         self.sim._current = self
         try:
             if exc is not None:

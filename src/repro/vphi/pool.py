@@ -31,6 +31,8 @@ Three properties the pool guarantees:
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, insort
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -73,7 +75,9 @@ class CardArbiter:
 
     Every grant — immediate or queued — flows through the same policy
     selector, so credit accounting cannot diverge between the contended
-    and uncontended paths.
+    and uncontended paths.  A grant costs O(log n) in tenants: only VMs
+    with queued acquires hold a ``(rank, position)`` key in one sorted
+    list, re-keyed whenever their rank or queue emptiness can change.
     """
 
     POLICIES = ("rr", "wfq", "priority")
@@ -91,11 +95,16 @@ class CardArbiter:
         self.name = name
         self.slots = slots
         self._free = slots
-        self.set_policy(policy)
         #: selection order: VMs in first-acquire order, never removed —
         #: an idle tenant keeps its slot in the rotation.
         self._order: list[str] = []
+        #: each VM's index in ``_order``.
+        self._pos: dict[str, int] = {}
         self._queues: dict[str, deque[Event]] = {}
+        #: sorted ``(rank, position)`` keys of the VMs with queued
+        #: acquires, and each such VM's current key (see ``_rank``).
+        self._keys: list[tuple] = []
+        self._key: dict[str, tuple] = {}
         #: rr/wfq rotor: the VM granted last.  Anchoring the rotor to a
         #: *name* (scan resumes after it) rather than an index keeps the
         #: rotation fair even when a tenant registers after the grant —
@@ -123,6 +132,7 @@ class CardArbiter:
         self.grants = 0
         self.grants_by_vm: dict[str, int] = {}
         self.waits = 0
+        self.set_policy(policy)
 
     @property
     def free(self) -> int:
@@ -140,6 +150,7 @@ class CardArbiter:
                 f"unknown arbiter policy {policy!r} (choose from {self.POLICIES})"
             )
         self.policy = policy
+        self._rekey_all()
 
     def configure(self, vm: str, weight: Optional[float] = None,
                   priority: Optional[int] = None) -> None:
@@ -156,6 +167,7 @@ class CardArbiter:
             self._weights[vm] = weight
         if priority is not None:
             self._prios[vm] = priority
+        self._rekey(vm)
 
     def weight_of(self, vm: str) -> float:
         return self._weights.get(vm, 1.0)
@@ -171,6 +183,7 @@ class CardArbiter:
     def _register(self, vm: str) -> None:
         if vm not in self._queues:
             self._queues[vm] = deque()
+            self._pos[vm] = len(self._order)
             self._order.append(vm)
 
     def deregister(self, vm: str) -> bool:
@@ -197,7 +210,7 @@ class CardArbiter:
                 f"{self.name}: deregister({vm!r}) with {len(queue)} "
                 "pending acquires — drain the tenant before migrating it"
             )
-        idx = self._order.index(vm)
+        idx = self._pos[vm]
         if self._last == vm:
             # re-anchor the rotor to the predecessor so the scan resumes
             # exactly where it would have (the successor is next).
@@ -213,21 +226,25 @@ class CardArbiter:
         self._prios.pop(vm, None)
         self._finish.pop(vm, None)
         self._backlog_start.pop(vm, None)
+        # every later tenant moved down one position
+        self._rekey_all()
         return True
 
     def acquire(self, vm: str) -> Event:
         """An event firing once ``vm`` holds a dispatch credit."""
         self._register(vm)
-        if not self._queues[vm]:
-            # queue goes non-empty: pin the wfq start tag now.  An idle
+        queue = self._queues[vm]
+        ev = self.sim.event(name=f"{self.name}:{vm}")
+        queue.append(ev)
+        self._waiting += 1
+        if len(queue) == 1:
+            # queue went non-empty: pin the wfq start tag now.  An idle
             # tenant re-enters at the current clock — it accrues no
             # credit for the time it wasn't asking.
             self._backlog_start[vm] = max(
                 self._vtime, self._finish.get(vm, 0.0)
             )
-        ev = self.sim.event(name=f"{self.name}:{vm}")
-        self._queues[vm].append(ev)
-        self._waiting += 1
+            self._rekey(vm)
         self._pump()
         if not ev.triggered:
             self.waits += 1
@@ -254,6 +271,8 @@ class CardArbiter:
         if queue is not None and ev in queue:
             queue.remove(ev)
             self._waiting -= 1
+            if not queue:
+                self._rekey(vm)
             return
         if ev.triggered:
             self.release(vm)
@@ -274,88 +293,77 @@ class CardArbiter:
                 self._free -= 1
                 self._grant(vm, ev)
                 break
+            self._rekey(vm)
+
+    def _rank(self, vm: str) -> float:
+        """``vm``'s policy rank, lower served first: its prospective wfq
+        finish tag (``inf`` for best-effort), its priority class, or 0
+        under rr."""
+        if self.policy == "wfq":
+            w = self._weights.get(vm, 1.0)
+            if w <= 0.0:
+                return math.inf  # best-effort: only when no weight waits
+            return max(
+                self._backlog_start.get(vm, 0.0),
+                self._finish.get(vm, 0.0),
+            ) + 1.0 / w
+        if self.policy == "priority":
+            return self._prios.get(vm, 0)
+        return 0
+
+    def _rekey(self, vm: str) -> None:
+        """Re-rank ``vm`` in ``_keys``: present iff its queue is non-empty."""
+        keys = self._keys
+        old = self._key.pop(vm, None)
+        if old is not None:
+            del keys[bisect_left(keys, old)]
+        if self._queues[vm]:
+            key = (self._rank(vm), self._pos[vm])
+            insort(keys, key)
+            self._key[vm] = key
+
+    def _rekey_all(self) -> None:
+        self._pos = {vm: i for i, vm in enumerate(self._order)}
+        self._keys = []
+        self._key = {}
+        for vm in self._order:
+            self._rekey(vm)
 
     def _select(self) -> Optional[str]:
         """The waiting VM the active policy serves next (with its
-        rotor/virtual-clock accounting applied)."""
-        if self.policy == "wfq":
-            return self._select_wfq()
+        rotor/virtual-clock accounting applied).
+
+        The lowest rank wins; among equal ranks, the first position at or
+        after the cursor, wrapping to the first position of that rank.
+        The cursor is the rotor (just past the last grantee) under rr and
+        wfq and the class's ``_class_next`` under priority, so ties break
+        exactly as a cyclic scan of ``_order`` from the cursor would.
+        """
+        keys = self._keys
+        if not keys:
+            return None
+        rank = keys[0][0]
         if self.policy == "priority":
-            return self._select_priority()
-        return self._select_rr()
-
-    def _rotor_start(self) -> int:
-        """Index to resume scanning from: just past the last grantee."""
-        if self._last is None:
-            return 0
-        return self._order.index(self._last) + 1
-
-    def _select_rr(self) -> Optional[str]:
-        n = len(self._order)
-        start = self._rotor_start()
-        for k in range(n):
-            v = self._order[(start + k) % n]
-            if self._queues[v]:
-                self._last = v
-                return v
-        return None
-
-    def _select_wfq(self) -> Optional[str]:
-        n = len(self._order)
-        best = None
-        best_tag = 0.0
-        effort = None
-        # walk from the rotor so equal tags (and best-effort tenants)
-        # rotate instead of always favouring the first-registered VM
-        start = self._rotor_start()
-        for k in range(n):
-            v = self._order[(start + k) % n]
-            if not self._queues[v]:
-                continue
-            w = self._weights.get(v, 1.0)
-            if w <= 0.0:
-                if effort is None:
-                    effort = v
-                continue
-            tag = max(
-                self._backlog_start.get(v, 0.0),
-                self._finish.get(v, 0.0),
-            ) + 1.0 / w
-            if best is None or tag < best_tag:
-                best, best_tag = v, tag
-        if best is not None:
-            start = best_tag - 1.0 / self._weights.get(best, 1.0)
+            cursor = self._class_next.get(rank, 0)
+        elif self._last is None:
+            cursor = 0
+        else:
+            cursor = self._pos[self._last] + 1
+        i = bisect_left(keys, (rank, cursor))
+        if i == len(keys) or keys[i][0] != rank:
+            i = 0
+        pos = keys[i][1]
+        vm = self._order[pos]
+        if self.policy == "priority":
+            self._class_next[rank] = pos + 1
+            return vm
+        if self.policy == "wfq" and rank != math.inf:
+            start = rank - 1.0 / self._weights.get(vm, 1.0)
             if start > self._vtime:
                 self._vtime = start
-            self._finish[best] = best_tag
-            self._last = best
-            return best
-        if effort is not None:
-            self._last = effort
-            return effort
-        return None
-
-    def _select_priority(self) -> Optional[str]:
-        best_prio: Optional[int] = None
-        members: list[tuple[int, str]] = []
-        for i, v in enumerate(self._order):
-            if not self._queues[v]:
-                continue
-            p = self._prios.get(v, 0)
-            if best_prio is None or p < best_prio:
-                best_prio, members = p, [(i, v)]
-            elif p == best_prio:
-                members.append((i, v))
-        if best_prio is None:
-            return None
-        cursor = self._class_next.get(best_prio, 0)
-        for i, v in members:
-            if i >= cursor:
-                self._class_next[best_prio] = i + 1
-                return v
-        i, v = members[0]
-        self._class_next[best_prio] = i + 1
-        return v
+            self._finish[vm] = rank
+        self._last = vm
+        return vm
 
     def _grant(self, vm: str, ev: Event) -> None:
         self.grants += 1

@@ -1,11 +1,12 @@
-"""The calendar queue must be observationally identical to a plain heap.
+"""The event queue must be observationally identical to a plain heap.
 
-The scheduler rebuild (calendar buckets + same-tick fast lane + far-future
-heap) is only admissible because firing order is *exactly* the old heap's
-``(time, seq)`` order — every golden digest depends on it.  These tests
-drive the queue directly with adversarial schedules (Hypothesis) and
-through the Simulator, and pin the tombstone/compaction behavior that
-keeps abandoned timeouts from growing the queue without bound.
+The queue splits firings into a same-instant FIFO lane and one binary
+heap for everything later.  That split is only admissible because the
+firing order is *exactly* a single heap's ``(time, seq)`` order — every
+golden digest depends on it.  These tests drive the queue directly with
+adversarial schedules (Hypothesis) and through the Simulator, and pin
+the tombstone/compaction behavior that keeps abandoned timeouts from
+growing the queue without bound.
 """
 
 import heapq
@@ -39,9 +40,9 @@ class HeapModel:
         return order
 
 
-#: delays spanning the regimes the queue tiers split on: zero-delay (fast
-#: lane), sub-horizon microsecond costs (wheel), and far-future sleeps
-#: (overflow heap) — plus exact duplicates to exercise FIFO tie-breaks.
+#: delays spanning the regimes a simulation schedules: zero delay (the
+#: lane), microsecond device costs and far-future sleeps (the heap) —
+#: plus exact duplicates to exercise FIFO tie-breaks between the tiers.
 _delays = st.one_of(
     st.just(0.0),
     st.floats(min_value=0.0, max_value=20e-6),
@@ -61,7 +62,7 @@ def test_firing_order_indistinguishable_from_heap(delays, rng):
     got, want = [], []
     now = 0.0
     # interleave: push a random prefix, pop a few, repeat — mid-drain
-    # insertion is where bucket/cursor bugs hide
+    # insertion is where lane/heap tie-break bugs hide
     while pending or len(cq):
         take = rng.randint(0, len(pending)) if pending else 0
         for label, delay in pending[:take]:
@@ -104,17 +105,17 @@ def test_simulator_timeout_order_matches_heap_order(delays):
 
 
 def test_zero_delay_fast_lane_respects_earlier_heap_entries():
-    """A wheel entry at time T with a smaller seq must fire before a
+    """A heap entry at time T with a smaller seq must fire before a
     zero-delay entry created later at the same instant."""
     cq = CalendarQueue()
-    cq.push(1e-6, "scheduled-first", 0.0)   # lands in the wheel
+    cq.push(1e-6, "scheduled-first", 0.0)   # lands in the heap
     entry = cq.pop()
     assert entry[2] == "scheduled-first"
     now = entry[0]
     cq.push(now, "lane-a", now)
-    cq.push(now + 1e-6, "wheel-later", now)
+    cq.push(now + 1e-6, "heap-later", now)
     cq.push(now, "lane-b", now)
-    assert [cq.pop()[2] for _ in range(3)] == ["lane-a", "lane-b", "wheel-later"]
+    assert [cq.pop()[2] for _ in range(3)] == ["lane-a", "lane-b", "heap-later"]
 
 
 def test_pop_limit_stops_at_horizon():
@@ -128,16 +129,15 @@ def test_pop_limit_stops_at_horizon():
 
 
 # ----------------------------------------------------------------------
-# rebase against a far-future head (the run(until=...) reordering bug)
+# ordering after a pop(limit) or peek that stopped short of a far head
 # ----------------------------------------------------------------------
 def test_pop_limit_rebase_then_earlier_push_keeps_order():
-    """The regression: pop(limit) below a far-future head eagerly rebases
-    the wheel to that head's time; a later push *between* now and the
-    rebased base must still fire first, not after it."""
+    """pop(limit) parks below a far-future head; a later push *between*
+    now and that head must still fire first, not after it."""
     cq = CalendarQueue()
     cq.push(100.0, "late", 0.0)
-    assert cq.pop(limit=5.0) is None     # parks; wheel rebased to t=100
-    cq.push(50.0, "early", 5.0)          # now < when < base
+    assert cq.pop(limit=5.0) is None     # parks on the t=100 head
+    cq.push(50.0, "early", 5.0)          # now < when < parked head
     a = cq.pop()
     b = cq.pop()
     assert (a[0], a[2]) == (50.0, "early")
@@ -146,7 +146,7 @@ def test_pop_limit_rebase_then_earlier_push_keeps_order():
 
 
 def test_peek_rebase_then_earlier_push_keeps_order():
-    """peek() also rebases eagerly; a subsequent sub-base push must win."""
+    """After peek() reports a far head, an earlier push must win."""
     cq = CalendarQueue()
     cq.push(100.0, "late", 0.0)
     assert cq.peek() == 100.0
@@ -170,18 +170,18 @@ def test_run_until_then_earlier_schedule_fires_in_order():
 
 
 def test_rewind_rebase_with_far_entries_below_start():
-    """Wheel emptied by compaction while the far heap holds sub-base
-    leftovers: the rewind rebase must front-bucket far entries even
-    earlier than its start time instead of mis-indexing them."""
+    """Compaction after a parked pop(limit) drops exactly the cancelled
+    entries, and later pushes still interleave by time with the
+    survivors."""
     cq = CalendarQueue(compact_threshold=0)
     a = cq.push(100.0, "a", 0.0)
-    assert cq.pop(limit=1.0) is None     # wheel rebased to base=100
-    cq.push(3.0, "b", 1.0)               # below base -> far heap
-    c = cq.push(100.2, "c", 1.0)         # beyond the wheel horizon -> far
+    assert cq.pop(limit=1.0) is None     # parks on the t=100 head
+    cq.push(3.0, "b", 1.0)               # earlier than the parked head
+    c = cq.push(100.2, "c", 1.0)
     cq.cancel(a)
     cq.cancel(c)                         # tombstones > live: compaction
     assert cq.compactions >= 1
-    cq.push(5.0, "d", 1.0)               # empty wheel + below base: rewind
+    cq.push(5.0, "d", 1.0)
     assert [(e[0], e[2]) for e in (cq.pop(), cq.pop())] == [
         (3.0, "b"), (5.0, "d")]
     assert cq.pop() is None
@@ -192,8 +192,8 @@ def test_rewind_rebase_with_far_entries_below_start():
 @given(st.lists(_delays, min_size=0, max_size=100), st.randoms())
 def test_limited_pops_and_peeks_never_reorder(delays, rng):
     """Random schedules interleaved with peek() and pop(limit) — the
-    calls that eagerly rebase the wheel — still fire in exact reference
-    heap order, including pushes landing below the rebased base."""
+    calls that stop short of the head — still fire in exact reference
+    heap order, including pushes landing before a parked head."""
     cq = CalendarQueue()
     ref = []
     seq = 0
@@ -209,7 +209,7 @@ def test_limited_pops_and_peeks_never_reorder(delays, rng):
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
             if roll < 0.3:
-                cq.peek()  # may rebase; must never reorder
+                cq.peek()  # must never reorder
                 continue
             limit = None
             if roll < 0.7:

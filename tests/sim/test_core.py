@@ -472,6 +472,36 @@ class TestDomain:
         sim.run()
         assert hits == [pytest.approx(4.0)]
 
+    def test_interrupt_after_deferred_value_leaves_the_stale_wait(self):
+        """The regression: a wakeup deferred by the pause replays first
+        and registers the guest on its next event; the interrupt thrown
+        in right after must take the guest off that event, or the stale
+        firing resumes the handler's own wait with the wrong value."""
+        sim = Simulator()
+        dom = sim.domain()
+        got = []
+
+        def guest():
+            yield sim.timeout(us(2.5), value="t1")
+            try:
+                yield sim.timeout(us(5), value="t2")
+            except Interrupted:
+                value = yield sim.timeout(us(10), value="t3")
+                got.append((sim.now, value))
+
+        def host(target):
+            dom.pause()
+            yield sim.timeout(us(2.5))      # the guest's t1 fires, deferred
+            target.interrupt("signal")      # delivery deferred behind it
+            yield sim.timeout(0)
+            dom.resume()
+
+        g = sim.spawn(guest(), domain=dom)
+        sim.spawn(host(g))
+        sim.run()
+        assert got == [(pytest.approx(us(12.5)), "t3")]
+        assert g.ok
+
     def test_fifo_replay_order_on_resume(self):
         sim = Simulator()
         dom = sim.domain()
