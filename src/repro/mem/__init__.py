@@ -27,7 +27,7 @@ from .pages import (
     page_offset,
     pages_spanned,
 )
-from .physical import CHUNK_SIZE, POISON_BYTE, PhysExtent, PhysicalMemory
+from .physical import CHUNK_SIZE, POISON_BYTE, PhysExtent, PhysicalMemory, as_bytes
 
 __all__ = [
     "AddressSpace",
@@ -51,6 +51,7 @@ __all__ = [
     "SGEntry",
     "VMA",
     "VMAFlag",
+    "as_bytes",
     "is_page_aligned",
     "page_align_down",
     "page_align_up",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BadAddress, MemError, PageFault, PinViolation
 from .pages import PAGE_SHIFT, PAGE_SIZE, page_align_up, page_offset
-from .physical import PhysExtent, PhysicalMemory
+from .physical import PhysExtent, PhysicalMemory, as_bytes
 
 __all__ = ["VMAFlag", "VMA", "PinnedPages", "AddressSpace", "SGEntry"]
 
@@ -393,17 +393,27 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # CPU-style access (walks page tables, takes faults)
     # ------------------------------------------------------------------
+    def fault_in(self, vaddr: int, nbytes: int) -> None:
+        """Fault in every page of the range, as an access to it would,
+        without copying anything (same faults, same order, same error)."""
+        for _ in self._pieces(vaddr, nbytes):
+            pass
+
     def read(self, vaddr: int, nbytes: int) -> np.ndarray:
         out = np.empty(nbytes, dtype=np.uint8)
-        off = 0
-        for mem, paddr, n in self._pieces(vaddr, nbytes):
-            mem.read_into(paddr, out[off : off + n])
-            off += n
+        self.read_into(vaddr, out)
         return out
 
+    def read_into(self, vaddr: int, out: np.ndarray) -> None:
+        """Copy ``len(out)`` bytes at ``vaddr`` into ``out`` (a uint8 array
+        or view) through the page table: ``copy_from_user``."""
+        off = 0
+        for mem, paddr, n in self._pieces(vaddr, len(out)):
+            mem.read_into(paddr, out[off : off + n])
+            off += n
+
     def write(self, vaddr: int, data: np.ndarray | bytes) -> None:
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            data = np.frombuffer(bytes(data), dtype=np.uint8)
+        data = as_bytes(data)
         off = 0
         for mem, paddr, n in self._pieces(vaddr, len(data)):
             mem.write(paddr, data[off : off + n])
@@ -437,8 +447,7 @@ class AddressSpace:
             raise MemError("pin length must be positive")
         lo = vaddr >> PAGE_SHIFT
         hi = page_align_up(vaddr + nbytes) >> PAGE_SHIFT
-        for _ in self._pieces(lo << PAGE_SHIFT, (hi - lo) << PAGE_SHIFT):
-            pass
+        self.fault_in(lo << PAGE_SHIFT, (hi - lo) << PAGE_SHIFT)
         self._add_pins(lo, hi, 1)
         sg = self.sg_list(vaddr, nbytes, fault_in=False)
         return PinnedPages(self, vaddr, nbytes, sg, range(lo, hi))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadAddress, MemError, OutOfMemory
 from .pages import PAGE_SIZE, page_align_up
 
-__all__ = ["PhysicalMemory", "PhysExtent", "CHUNK_SIZE", "POISON_BYTE"]
+__all__ = ["PhysicalMemory", "PhysExtent", "CHUNK_SIZE", "POISON_BYTE", "as_bytes"]
 
 #: Materialization granularity of backing storage.
 CHUNK_SIZE = 1 << 20  # 1 MiB
@@ -60,12 +60,15 @@ class _ChunkPool:
         chunk.fill(0)
         return chunk
 
-    def copy_of(self, data: np.ndarray) -> np.ndarray:
-        """A chunk holding ``data`` (exactly ``CHUNK_SIZE`` bytes)."""
+    def blank(self, lo: int, hi: int) -> np.ndarray:
+        """A chunk whose bytes ``[lo, hi)`` are about to be overwritten:
+        only the bytes outside that span are zeroed."""
         if not self._free:
-            return data.copy()
-        chunk = self._free.pop()
-        chunk[:] = data
+            chunk = np.empty(CHUNK_SIZE, dtype=np.uint8)
+        else:
+            chunk = self._free.pop()
+        chunk[:lo] = 0
+        chunk[hi:] = 0
         return chunk
 
     def release(self, chunks: dict) -> None:
@@ -78,6 +81,22 @@ class _ChunkPool:
 
 
 _POOL = _ChunkPool()
+
+
+_UINT8 = np.dtype(np.uint8)
+
+
+def as_bytes(data) -> np.ndarray:
+    """``data`` as a flat uint8 array, a view of it where possible.
+
+    Every size in the memory model counts bytes: a caller's ``int32``
+    array of 2048 elements is 8 KiB here, not 2048 bytes.
+    """
+    if not isinstance(data, np.ndarray):
+        return np.frombuffer(bytes(data), dtype=np.uint8)
+    if data.dtype != _UINT8 or data.ndim != 1:
+        data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+    return data
 
 
 class PhysExtent:
@@ -124,8 +143,15 @@ class PhysExtent:
         self._check(off, nbytes)
         return self.mem.iter_views(self.addr + off, nbytes)
 
+    def write_views(self, off: int = 0, nbytes: Optional[int] = None):
+        """Yield ``(offset, chunk_view)`` pairs for overwriting the range
+        (see :meth:`PhysicalMemory.write_views`)."""
+        nbytes = self.nbytes - off if nbytes is None else nbytes
+        self._check(off, nbytes)
+        return self.mem.write_views(self.addr + off, nbytes)
+
     def write(self, data: np.ndarray | bytes, off: int = 0) -> None:
-        data = np.asarray(bytearray(data), dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else data
+        data = as_bytes(data)
         self._check(off, len(data))
         self.mem.write(self.addr + off, data)
 
@@ -324,41 +350,35 @@ class PhysicalMemory:
         for chunk, lo, hi, doff in mem._spans(addr, nbytes):
             yield doff, chunk[lo:hi]
 
-    def write(self, addr: int, data: np.ndarray | bytes) -> None:
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            data = np.frombuffer(bytes(data), dtype=np.uint8)
-        if data.dtype != np.uint8:
-            data = data.view(np.uint8) if data.flags["C_CONTIGUOUS"] else np.ascontiguousarray(data).view(np.uint8)
-        n = len(data)
-        self._bounds(addr, n)
+    def write_views(self, addr: int, nbytes: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(offset, chunk_view)`` pairs for overwriting the range.
+
+        A chunk first materialized here has only the bytes outside the
+        range zeroed, so the caller must fill every view it is given.
+        """
+        self._bounds(addr, nbytes)
         mem = self
         if self.parent is not None:
             mem, addr = self._resolve(addr)
         chunks = mem._chunks
         off = 0
-        while off < n:
-            a = addr + off
-            ci, co = divmod(a, CHUNK_SIZE)
-            take = min(CHUNK_SIZE - co, n - off)
+        while off < nbytes:
+            ci, co = divmod(addr + off, CHUNK_SIZE)
+            take = min(CHUNK_SIZE - co, nbytes - off)
             chunk = chunks.get(ci)
             if chunk is None:
-                if co == 0 and take == CHUNK_SIZE:
-                    # Whole-chunk overwrite: materialize from the payload
-                    # directly instead of zero-filling first.
-                    chunks[ci] = _POOL.copy_of(data[off : off + CHUNK_SIZE])
-                    off += take
-                    continue
-                chunk = chunks[ci] = _POOL.zeros()
-            chunk[co : co + take] = data[off : off + take]
+                chunk = chunks[ci] = _POOL.blank(co, co + take)
+            yield off, chunk[co : co + take]
             off += take
 
+    def write(self, addr: int, data: np.ndarray | bytes) -> None:
+        data = as_bytes(data)
+        for off, view in self.write_views(addr, len(data)):
+            view[:] = data[off : off + len(view)]
+
     def fill(self, addr: int, nbytes: int, byte: int) -> None:
-        self._bounds(addr, nbytes)
-        mem = self
-        if self.parent is not None:
-            mem, addr = self._resolve(addr)
-        for chunk, lo, hi, _ in mem._spans(addr, nbytes):
-            chunk[lo:hi] = byte
+        for _, view in self.write_views(addr, nbytes):
+            view[:] = byte
 
     def copy_within(self, dst: int, src: int, nbytes: int) -> None:
         """memmove-style copy inside this memory."""
@@ -374,10 +394,12 @@ class PhysicalMemory:
     ) -> None:
         """Copy between two physical memories (the DMA engine's data move).
 
-        Streams chunk views in lockstep — one copy per span instead of a
-        full read into a temporary followed by a full write.  Overlapping
-        same-root ranges fall back to the copy-via-temporary path so the
-        memmove semantics are preserved.
+        Reads the source straight into the destination's chunk views —
+        one copy per span instead of a full read into a temporary followed
+        by a full write, and no zero pass over the bytes of a chunk the
+        copy is first to touch.
+        Overlapping same-root ranges fall back to the copy-via-temporary
+        path so the memmove semantics are preserved.
         """
         src_mem._bounds(src, nbytes)
         dst_mem._bounds(dst, nbytes)
@@ -386,22 +408,8 @@ class PhysicalMemory:
         if smem is dmem and s < d + nbytes and d < s + nbytes:
             dst_mem.write(dst, src_mem.read(src, nbytes))
             return
-        dchunks = dmem._chunks
-        off = 0
-        while off < nbytes:
-            sci, sco = divmod(s + off, CHUNK_SIZE)
-            dci, dco = divmod(d + off, CHUNK_SIZE)
-            take = min(CHUNK_SIZE - sco, CHUNK_SIZE - dco, nbytes - off)
-            schunk = smem._chunk(sci)
-            dchunk = dchunks.get(dci)
-            if dchunk is None:
-                if dco == 0 and take == CHUNK_SIZE:
-                    dchunks[dci] = _POOL.copy_of(schunk[sco : sco + CHUNK_SIZE])
-                    off += take
-                    continue
-                dchunk = dchunks[dci] = _POOL.zeros()
-            dchunk[dco : dco + take] = schunk[sco : sco + take]
-            off += take
+        for off, view in dmem.write_views(d, nbytes):
+            smem.read_into(s + off, view)
 
     def carve(self, nbytes: int, name: str = "", label: str = "") -> "PhysicalMemory":
         """Allocate an extent and wrap it as a nested PhysicalMemory.

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..analysis.calibration import HOST, SCIF_COSTS, HostParams, ScifCosts
-from ..mem import Buffer, PAGE_SIZE, VMA, VMAFlag, is_page_aligned
+from ..mem import Buffer, PAGE_SIZE, VMA, VMAFlag, as_bytes, is_page_aligned
 from ..oscore import OSProcess
 from ..sim import ChannelClosed, Channel, Simulator
 from .constants import MapFlag, PollEvent, Prot, RecvFlag, RmaFlag, SendFlag
@@ -53,11 +53,7 @@ def as_bytes_array(data: DataLike) -> np.ndarray:
     already uint8)."""
     if isinstance(data, Buffer):
         return data.data
-    if isinstance(data, np.ndarray):
-        if data.dtype == np.uint8:
-            return data
-        return np.ascontiguousarray(data).view(np.uint8)
-    return np.frombuffer(bytes(data), dtype=np.uint8)
+    return as_bytes(data)
 
 
 class NativeScif:

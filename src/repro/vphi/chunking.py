@@ -9,9 +9,11 @@ proceed with each one of them."
 
 from __future__ import annotations
 
-from ..mem import KMALLOC_MAX_SIZE, KernelAllocator, PhysExtent
+import numpy as np
 
-__all__ = ["chunk_plan", "BounceBuffers"]
+from ..mem import KMALLOC_MAX_SIZE, AddressSpace, KernelAllocator, PhysExtent
+
+__all__ = ["chunk_plan", "BounceBuffers", "UserRange"]
 
 
 def chunk_plan(nbytes: int, chunk_size: int = KMALLOC_MAX_SIZE) -> list[int]:
@@ -27,6 +29,30 @@ def chunk_plan(nbytes: int, chunk_size: int = KMALLOC_MAX_SIZE) -> list[int]:
         out.append(take)
         left -= take
     return out
+
+
+class UserRange:
+    """``nbytes`` of user memory at ``vaddr``: a payload that is copied
+    through the page table when the bounce chunks are filled (step 3i,
+    ``copy_from_user``), not when the call is made.  Slicing gives the
+    sub-range a segmented submit copies."""
+
+    __slots__ = ("space", "vaddr", "nbytes")
+
+    def __init__(self, space: AddressSpace, vaddr: int, nbytes: int):
+        self.space = space
+        self.vaddr = vaddr
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __getitem__(self, s: slice) -> "UserRange":
+        start, stop, _ = s.indices(self.nbytes)
+        return UserRange(self.space, self.vaddr + start, stop - start)
+
+    def read_into(self, off: int, out: np.ndarray) -> None:
+        self.space.read_into(self.vaddr + off, out)
 
 
 class BounceBuffers:
@@ -51,17 +77,32 @@ class BounceBuffers:
         """(guest_physical_addr, len) pairs for the virtio chain."""
         return [(ext.addr, size) for ext, size in zip(self.extents, self.sizes)]
 
-    def scatter(self, data) -> None:
-        """Copy a flat payload into the chunks (guest user->kernel copy)."""
-        off = 0
+    def scatter(self, src) -> None:
+        """Copy ``src`` into the chunks (3i, the guest user->kernel copy).
+
+        ``src`` is a flat uint8 payload or a :class:`UserRange`; either
+        way each byte is copied once, straight into chunk storage.
+        """
+        if isinstance(src, UserRange):
+            read_into = src.read_into
+        else:
+            def read_into(off, out):
+                out[:] = src[off : off + len(out)]
+        base = 0
         for ext, size in zip(self.extents, self.sizes):
-            ext.write(data[off : off + size])
-            off += size
+            for off, view in ext.write_views(0, size):
+                try:
+                    read_into(base + off, view)
+                except Exception:
+                    # a user page gone since the call was checked: zero
+                    # the view rather than leave a recycled chunk's old
+                    # bytes in it (copy_from_user zero-fills the same way)
+                    view[:] = 0
+                    raise
+            base += size
 
     def gather(self, nbytes: int | None = None):
         """Concatenate chunk contents back into a flat array."""
-        import numpy as np
-
         n = self.nbytes if nbytes is None else min(nbytes, self.nbytes)
         out = np.empty(n, dtype=np.uint8)
         off = 0

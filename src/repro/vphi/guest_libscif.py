@@ -29,6 +29,7 @@ from ..scif import (
     EINVAL, ENOTCONN, MapFlag, PollEvent, Prot, RecvFlag, RmaFlag, SendFlag,
 )
 from ..scif.api import DataLike, as_bytes_array
+from .chunking import UserRange
 from .frontend import VPhiFrontend
 from .ops import spec_for
 from .protocol import VPhiOp
@@ -237,10 +238,14 @@ class GuestScif:
         self._ensure_connected(ep)
         if nbytes <= 0:
             raise EINVAL("RMA length must be positive")
-        payload = self.process.address_space.read(vaddr, nbytes)
+        # the range is faulted in and checked now, before anything is
+        # forwarded; its bytes are copied at 3i, straight from the user
+        # pages into the bounce chunks (copy_from_user per chunk).
+        space = self.process.address_space
+        space.fault_in(vaddr, nbytes)
         n, _ = yield from self._forward(
             VPhiOp.VWRITETO, ep,
-            out_data=payload,
+            out_data=UserRange(space, vaddr, nbytes),
             segment_args=lambda a, off: {**a, "roffset": roffset + off},
             roffset=roffset, flags=flags,
         )

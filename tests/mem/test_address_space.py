@@ -62,6 +62,20 @@ def test_read_write_across_page_boundary(space):
     assert space.resident_pages() == 2
 
 
+def test_write_counts_a_wide_dtype_in_bytes(space):
+    """An 8 KiB int32 array is 8 KiB, not 2048 bytes: the write walks both
+    pages of its lazy buffer and leaves the next frame's owner alone."""
+    vma = space.mmap(2 * PAGE_SIZE, name="lazy")
+    space.translate(vma.start)  # first page's frame, then a neighbour's
+    other = space.mmap(PAGE_SIZE, populate=True, name="other")
+    space.write(other.start, np.full(PAGE_SIZE, 0x5A, dtype=np.uint8))
+    payload = np.arange(2 * PAGE_SIZE // 4, dtype=np.int32)
+    space.write(vma.start, payload)
+    assert space.fault_count == 2
+    assert np.array_equal(space.read(vma.start, 2 * PAGE_SIZE), payload.view(np.uint8))
+    assert (space.read(other.start, PAGE_SIZE) == 0x5A).all()
+
+
 def test_access_unmapped_is_segv(space):
     with pytest.raises(BadAddress):
         space.read(0xDEAD0000, 1)

@@ -166,6 +166,46 @@ def test_collected_memory_chunks_recycled_as_zeros():
     assert len(_POOL._free) <= _POOL.limit
 
 
+def test_partial_materialization_zeroes_a_dirty_recycled_chunk():
+    """A chunk first touched by a misaligned write or copy is taken from
+    the pool without a zero pass; every byte outside the written span
+    still reads back as zero, however dirty the recycled chunk was."""
+    scrap = PhysicalMemory(8 * CHUNK_SIZE)
+    scrap.write(0, np.ones(8 * CHUNK_SIZE, dtype=np.uint8))
+    del scrap
+    gc.collect()
+    assert len(_POOL._free) >= 5
+    for chunk in _POOL._free:
+        chunk.fill(0xAB)
+    dirty = {id(chunk) for chunk in _POOL._free}
+    mem = PhysicalMemory(4 * CHUNK_SIZE)
+    src = PhysicalMemory(CHUNK_SIZE)
+    src.write(0, np.full(5000, 0x22, dtype=np.uint8))
+    mem.write(CHUNK_SIZE - 1000, np.full(3000, 0x11, dtype=np.uint8))
+    PhysicalMemory.copy(mem, 3 * CHUNK_SIZE - 2000, src, 0, 5000)
+    assert sorted(mem._chunks) == [0, 1, 2, 3]
+    assert all(id(chunk) in dirty for chunk in mem._chunks.values())
+    want = np.zeros(4 * CHUNK_SIZE, dtype=np.uint8)
+    want[CHUNK_SIZE - 1000 : CHUNK_SIZE + 2000] = 0x11
+    want[3 * CHUNK_SIZE - 2000 : 3 * CHUNK_SIZE + 3000] = 0x22
+    assert np.array_equal(mem.read(0, 4 * CHUNK_SIZE), want)
+
+
+def test_extent_write_bounds_a_wide_dtype_in_bytes():
+    """4096 int32 elements are 16 KiB: too big for a 4 KiB extent, and
+    refused before a byte of the neighbouring extent is touched."""
+    mem = PhysicalMemory(MB)
+    ext = mem.alloc(PAGE_SIZE)
+    neighbour = mem.alloc(PAGE_SIZE)
+    neighbour.fill(0x5A)
+    with pytest.raises(BadAddress):
+        ext.write(np.arange(PAGE_SIZE, dtype=np.int32))
+    assert (neighbour.read() == 0x5A).all()
+    words = np.arange(PAGE_SIZE // 4, dtype=np.int32)
+    ext.write(words)
+    assert np.array_equal(ext.read(), words.view(np.uint8))
+
+
 def test_fill():
     mem = PhysicalMemory(MB)
     ext = mem.alloc(PAGE_SIZE)

@@ -131,6 +131,9 @@ def card_window_server(machine, port, size, fill):
             if cmd.tobytes() == b"s":
                 csum = int(sproc.address_space.read(vma.start, size).sum())
                 yield from slib.send(conn, np.int64(csum).tobytes())
+            elif cmd.tobytes() == b"w":
+                # the whole window, for byte-exact comparisons
+                yield from slib.send(conn, sproc.address_space.read(vma.start, size))
             else:
                 return
 
@@ -264,8 +267,21 @@ def vrma_roundtrip(side, machine):
     )
     n_write = yield from side.lib.vwriteto(ep, vma.start, size, roff)
     remote = yield from server_checksum(side, ep)
+    # a demand-faulted source starting mid-page, its pages faulted in
+    # last-first so that each sits in its own frame
+    space = side.proc.address_space
+    lazy = space.mmap(size + PAGE_SIZE)
+    for page in reversed(range(lazy.start, lazy.end, PAGE_SIZE)):
+        space.translate(page)
+    start = lazy.start + 123
+    space.write(start, (np.arange(size, dtype=np.int64) * 7 % 251).astype(np.uint8))
+    pieces = len(space.sg_list(start, size))
+    n_lazy = yield from side.lib.vwriteto(ep, start, size, roff)
+    yield from side.lib.send(ep, b"w")
+    window = yield from side.lib.recv(ep, size)
+    lands_whole = bool(np.array_equal(window, space.read(start, size)))
     yield from side.lib.send(ep, b"q")
-    return (n_read, pulled, n_write, remote)
+    return (n_read, pulled, n_write, remote, pieces, n_lazy, lands_whole)
 
 
 @scenario(VPhiOp.MMAP)
@@ -395,6 +411,16 @@ def test_every_registry_op_has_a_scenario(op):
         f"registry op {op.value!r} has no differential scenario; add one "
         f"(or extend an existing scenario's @scenario(...) claim)"
     )
+
+
+@pytest.mark.parametrize("mode", ["native", "blocking", "pooled"])
+def test_vwriteto_from_scattered_lazy_buffer_lands_whole(mode):
+    """Beyond agreeing with native, every card-window byte equals the
+    demand-faulted, one-frame-per-page user buffer it was written from."""
+    *_, pieces, n_lazy, lands_whole = run_scenario("vrma_roundtrip", mode)
+    assert pieces == 512 * KB // PAGE_SIZE + 1
+    assert n_lazy == 512 * KB
+    assert lands_whole
 
 
 def test_pooled_run_actually_pooled():

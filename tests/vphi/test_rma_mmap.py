@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mem import Buffer, PAGE_SIZE, PageFault
+from repro.mem import BadAddress, Buffer, PAGE_SIZE, PageFault
+from repro.vphi import VPhiConfig
 
 PORT = 3100
 MB = 1 << 20
@@ -91,6 +92,91 @@ def test_guest_vwriteto_pushes_to_card(machine, vm):
     vm.spawn_guest(client())
     machine.run()
     assert np.array_equal(s.value, payload.data)
+
+
+def test_vwriteto_into_a_hole_fails_before_forwarding(machine):
+    """A vwriteto whose range runs off its VMA into the guard hole faults
+    in the pages before the hole, then raises at call time exactly as
+    reading the range would: no request, no admission, no simulated time."""
+    vm = machine.create_vm("vm0", vphi_config=VPhiConfig(admit_queue_depth=4))
+    ready, _ = card_window_server(machine, 2 * MB)
+    card_node = machine.card_node_id(0)
+    glib = vm.vphi.libscif(vm.guest_process("app"))
+    reader = vm.guest_process("reader").address_space
+    fe = vm.vphi.frontend
+
+    def counters():
+        return (fe.requests, fe.admission.admitted, fe.admission.shed,
+                fe.admission.depth, machine.sim.now)
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (card_node, PORT))
+        roff = yield ready
+        space = glib.process.address_space
+        lazy = space.mmap(3 * PAGE_SIZE)  # the next page is unmapped
+        before = counters()
+        with pytest.raises(BadAddress) as err:
+            yield from glib.vwriteto(ep, lazy.start + 100, 3 * PAGE_SIZE, roff)
+        assert counters() == before
+        assert f"{lazy.end:#x}" in str(err.value)
+        yield from glib.send(ep, b"x")
+        return space.fault_count
+
+    c = vm.spawn_guest(client())
+    machine.run()
+    # the same walk as a plain read of the same range
+    lazy = reader.mmap(3 * PAGE_SIZE)
+    with pytest.raises(BadAddress):
+        reader.read(lazy.start + 100, 3 * PAGE_SIZE)
+    assert c.value == reader.fault_count == 3
+
+
+@pytest.mark.parametrize("meddle", ["rewrite", "munmap"])
+def test_vwriteto_reads_the_user_pages_at_copy_in(machine, vm, meddle):
+    """The bytes are taken at 3i, like copy_from_user, not at call time:
+    a rewrite landing between the call and 3i is what reaches the card,
+    and a buffer unmapped in that gap fails the call from 3i, leaking no
+    bounce chunk."""
+    size = MB
+    ready, server = card_window_server(machine, size, fill=0x00)
+    card_node = machine.card_node_id(0)
+    glib = vm.vphi.libscif(vm.guest_process("app"))
+    space = glib.process.address_space
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (card_node, PORT))
+        roff = yield ready
+        vma = space.mmap(size)
+        space.write(vma.start, np.full(size, 0x11, dtype=np.uint8))
+
+        def meddler():
+            yield machine.sim.timeout(1e-6)  # inside the marshal charge
+            if meddle == "rewrite":
+                space.write(vma.start, np.full(size, 0x22, dtype=np.uint8))
+            else:
+                space.munmap(vma)
+
+        vm.spawn_guest(meddler())
+        try:
+            n = yield from glib.vwriteto(ep, vma.start, size, roff)
+        except BadAddress:
+            n = None
+        yield from glib.send(ep, b"x")
+        return n
+
+    c = vm.spawn_guest(client())
+    machine.run()
+    sproc, window = server.value
+    landed = sproc.address_space.read(window.start, size)
+    if meddle == "rewrite":
+        assert c.value == size
+        assert (landed == 0x22).all()
+    else:
+        assert c.value is None
+        assert (landed == 0x00).all()
+    assert vm.guest_kernel.kmalloc.live == 0
 
 
 def test_vphi_rma_throughput_anchor_72_percent(machine, vm):
