@@ -371,6 +371,12 @@ class Tracer:
         if span is not None and not span.closed:
             span.mark(phase, self._clock())
 
+    def mark_at(self, span: Optional[Span], phase: str, time: float) -> None:
+        """Stamp "``phase`` ended at ``time``": a phase that ended inside
+        a fused wait, at an instant the clock itself never visited."""
+        if span is not None and not span.closed:
+            span.mark(phase, time)
+
     def mark_tag(self, tag: int, phase: str) -> None:
         """Stamp a phase on whatever span ``tag`` correlates to, if any."""
         span = self.active_spans.get(tag)

@@ -9,7 +9,7 @@ blocking event the guest is frozen and the interrupt is deferred.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..analysis.calibration import VPHI_COSTS, VPhiCosts
 from ..sim import Domain, Simulator
@@ -35,8 +35,8 @@ class VirtioDevice:
         self.ring = Vring(ring_size)
         self.costs = costs
         self.guest_domain = guest_domain
-        #: host-side handler invoked (as a new sim process) after each kick.
-        self._backend_handler: Optional[Callable[[], Generator]] = None
+        #: host-side kick handler (plain callable), run after each kick.
+        self._backend_handler: Optional[Callable[[], None]] = None
         #: guest-side interrupt service routine (plain callable).
         self._guest_isr: Optional[Callable[[], None]] = None
         #: EVENT_IDX-style suppression: skip kicks while the device is
@@ -52,8 +52,8 @@ class VirtioDevice:
         self.suppressed_irqs = 0
 
     # ------------------------------------------------------------------
-    def bind_backend(self, handler: Callable[[], Generator]) -> None:
-        """Register the QEMU backend's kick handler (a generator factory)."""
+    def bind_backend(self, handler: Callable[[], None]) -> None:
+        """Register the QEMU backend's kick handler (a plain callable)."""
         self._backend_handler = handler
 
     def bind_guest_isr(self, isr: Callable[[], None]) -> None:
@@ -64,10 +64,11 @@ class VirtioDevice:
     def kick(self):
         """Process (guest side): notify the backend.
 
-        Costs one vmexit; the backend handler is then spawned on the host
-        side.  With notification suppression on, a kick while the device
-        is already draining is skipped entirely — the driver reads the
-        device's busy flag from the shared ring instead of trapping out.
+        Costs one vmexit; the backend handler then runs on the host side,
+        queued behind whatever else is due at that instant.  With
+        notification suppression on, a kick while the device is already
+        draining is skipped entirely — the driver reads the device's busy
+        flag from the shared ring instead of trapping out.
         ``yield from dev.kick()``.
         """
         if self._backend_handler is None:
@@ -78,7 +79,7 @@ class VirtioDevice:
         self.kicks += 1
         self.backend_busy = True
         yield self.sim.timeout(self.costs.kick_vmexit)
-        self.sim.spawn(self._backend_handler(), name=f"{self.name}-backend")
+        self.sim.call_soon(self._backend_handler)
 
     def backend_idle(self) -> None:
         """Device side: declare the drain loop finished.

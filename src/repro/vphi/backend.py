@@ -90,7 +90,7 @@ class VPhiBackend:
         self._handles = itertools.count(1)
         #: fault source (default: inject nothing).
         self.faults = faults or NO_FAULTS
-        virtio.bind_backend(self.on_kick)
+        virtio.bind_backend(self._drain)
         #: requests currently being handled (drives the busy flag that
         #: notification suppression keys off).
         self.in_flight = 0
@@ -148,13 +148,11 @@ class VPhiBackend:
     def drop_handle(self, handle: int) -> None:
         del self.endpoints[handle]
 
-    def on_kick(self):
-        """Kick handler: drain the avail ring, post one QEMU event each."""
-        self._drain()
-        yield self.sim.timeout(0)
-
     def _drain(self) -> None:
         """Drain the avail ring in batches and dispatch; manage the busy flag.
+
+        This is the kick handler (bound to the virtio device), and runs
+        again whenever a request retires.
 
         Two phases per pass.  **Pop**: take every eligible chain off the
         avail ring at once — bounded by the pool's in-flight window, so

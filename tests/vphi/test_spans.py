@@ -169,6 +169,55 @@ def test_fault_free_spans_close_and_telescope(workers):
     assert ("credit_wait" in pooled_phases) == bool(workers)
 
 
+def test_traced_pingpong_stamps_fused_phases_arithmetically():
+    """Marshal + copy-in and the last copy-out + guest return are each
+    one fused wake; the phase that ended inside it is stamped at the
+    float the two-step chain would have reached, so marks stay monotone
+    and every boundary is exact."""
+    sizes = (1, 64, 4 * KB, 64 * KB, 8 * 512 * KB)
+    m = Machine(cards=1).boot()
+    vm = m.create_vm("vm0")
+    slib = m.scif(m.card_process("srv"))
+
+    def server():
+        ep = yield from slib.open()
+        yield from slib.bind(ep, PORT)
+        yield from slib.listen(ep)
+        conn, _ = yield from slib.accept(ep)
+        for n in sizes:
+            data = yield from slib.recv(conn, n)
+            yield from slib.send(conn, data)
+
+    m.sim.spawn(server())
+    glib = vm.vphi.libscif(vm.guest_process("app"))
+    payloads = [np.full(n, n % 251, dtype=np.uint8) for n in sizes]
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (m.card_node_id(0), PORT))
+        for p in payloads:
+            yield from glib.send(ep, p)
+            got = yield from glib.recv(ep, len(p))
+            assert np.array_equal(got, p)
+
+    vm.spawn_guest(client())
+    m.run()
+    assert_span_contract(vm.tracer)
+    fe = vm.vphi.frontend
+    bw = fe.host_params.memcpy_bandwidth
+    spans = [s for s in vm.tracer.spans if s.op in ("send", "recv")]
+    assert len(spans) == 2 * len(sizes)
+    for span, n in zip(spans, [n for n in sizes for _ in (0, 1)]):
+        assert span.status == "ok"
+        marks = dict(span.marks)
+        assert marks["marshal"] == span.start + fe.costs.frontend
+        if span.op == "send":
+            assert marks["copy_in"] == marks["marshal"] + n / bw
+        else:
+            assert marks["guest_return"] == (marks["copy_out"]
+                                             + fe.costs.guest_return)
+
+
 def test_span_breakdown_and_export_agree_with_spans():
     m = Machine(cards=1).boot()
     vm = m.create_vm("vm0")
