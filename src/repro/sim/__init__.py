@@ -13,6 +13,7 @@ from .core import (
     AnyOf,
     Domain,
     Event,
+    FusedTimeout,
     Process,
     Simulator,
     Timeout,
@@ -40,6 +41,7 @@ __all__ = [
     "DeadlockError",
     "Domain",
     "Event",
+    "FusedTimeout",
     "Interrupted",
     "Killed",
     "LatencyStat",
