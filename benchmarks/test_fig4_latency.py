@@ -8,6 +8,7 @@ frontend driver's sleep/wake-up scheme (§IV-B breakdown).
 import pytest
 
 from conftest import fmt_size, fresh_machine, print_table
+from repro.analysis import overhead_breakdown
 from repro.sim import us
 from repro.workloads import ClientContext, sendrecv_latency
 
@@ -22,9 +23,10 @@ def run_fig4():
     vm = machine2.create_vm("vm0")
     vphi = sendrecv_latency(machine2, ClientContext.guest(vm), SIZES)
     # every forwarded op (open/connect/sends/close) pays the wait scheme
-    # exactly once; the per-request cost is the §IV-B breakdown quantity.
-    fe = vm.vphi.frontend
-    wait_per_request = fe.tracer.accumulators["vphi.wait_scheme_time"] / fe.requests
+    # exactly once; the per-request cost is the §IV-B breakdown quantity,
+    # read from the request spans.
+    rows = {p.phase: p.per_request for p in overhead_breakdown(vm.vphi.frontend)}
+    wait_per_request = rows["sleep/wake-up scheme"]
     return native, vphi, wait_per_request
 
 

@@ -15,15 +15,15 @@ import time
 
 from conftest import fresh_machine, print_table
 from repro.analysis import check_span_invariants
-from repro.vphi import VPhiConfig
 from repro.workloads import ClientContext, sendrecv_latency
 
 SIZES = [1, 64, 256, 1024, 4096, 16384, 65536]
 
 
-def run_fig4_guest(trace_spans: bool):
+def run_fig4_guest(record_spans: bool):
     machine = fresh_machine()
-    vm = machine.create_vm("vm0", vphi_config=VPhiConfig(trace_spans=trace_spans))
+    vm = machine.create_vm("vm0")
+    vm.tracer.record_spans = record_spans
     t0 = time.perf_counter()
     series = sendrecv_latency(machine, ClientContext.guest(vm), SIZES)
     wall = time.perf_counter() - t0

@@ -8,7 +8,9 @@ inside the frontend driver."
 :func:`overhead_breakdown` reproduces that attribution for any vPHI
 frontend after it has carried traffic: per-request phase costs, each
 phase's share of the +375 µs virtualization overhead, rendered the way
-the paper narrates it.
+the paper narrates it.  It reads nothing but the request spans, so the
+rows telescope like the spans do: per request they add up, with the
+native floor, to the mean measured latency.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calibration import SCIF_COSTS
+from .spans import span_breakdown
 
 __all__ = [
     "ConcurrencySnapshot",
@@ -23,6 +26,7 @@ __all__ = [
     "OpStats",
     "PhaseShare",
     "RecoveryStats",
+    "breakdown_rows",
     "concurrency_snapshot",
     "concurrency_stats",
     "overhead_breakdown",
@@ -42,35 +46,62 @@ class PhaseShare:
     share_of_overhead: float
 
 
+#: the row that carries the host-side service, native op included.
+SERVICE_ROW = "backend + host syscall + irq"
+#: the row for retry backoff and session-rebuild waits (fault runs only).
+RECOVERY_ROW = "retry + session recovery"
+
+
+def breakdown_rows() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The §IV-B rows and the span phases each one sums.
+
+    Every phase in :data:`~repro.vphi.ops.SPAN_PHASE_ORDER` lands in
+    exactly one row, so the breakdown drops nothing.
+    """
+    # deferred: importing repro.vphi at module scope would close an
+    # import cycle (vphi -> scif -> analysis.calibration -> here).
+    from ..vphi import ops
+
+    return (
+        ("frontend driver (marshalling)", (ops.SPAN_MARSHAL,)),
+        ("user<->kernel copies", (ops.SPAN_COPY_IN, ops.SPAN_COPY_OUT)),
+        ("virtio kick (vmexit)", (ops.SPAN_POST, ops.SPAN_KICK)),
+        ("sleep/wake-up scheme", (ops.SPAN_GUEST_WAKE,)),
+        (SERVICE_ROW, (ops.SPAN_RING, ops.SPAN_CREDIT_WAIT,
+                       ops.SPAN_BACKEND_POP, ops.SPAN_HOST_CALL,
+                       ops.SPAN_COMPLETION_PUSH, ops.SPAN_IRQ_DELIVER)),
+        ("response demux + return", (ops.SPAN_GUEST_RETURN,)),
+        (RECOVERY_ROW, (ops.SPAN_RETRY_BACKOFF, ops.SPAN_SESSION_WAIT)),
+    )
+
+
 def overhead_breakdown(frontend) -> list[PhaseShare]:
-    """Per-request phase costs from a frontend's tracer, most expensive
-    first.  Phases: frontend marshalling, data copies, kick/vmexit, the
-    wait (split into wakeup-scheme vs backend+host+irq service), and the
-    guest return path."""
-    acc = frontend.tracer.accumulators
-    n = max(frontend.requests, 1)
-    wakeup = acc.get("vphi.wait_scheme_time", 0.0)
-    wait_total = acc.get("vphi.phase.wait", 0.0)
-    phases = {
-        "frontend driver (marshalling)": acc.get("vphi.phase.frontend", 0.0),
-        "user<->kernel copies": acc.get("vphi.phase.copy", 0.0),
-        "virtio kick (vmexit)": acc.get("vphi.phase.kick", 0.0),
-        "sleep/wake-up scheme": wakeup,
-        "backend + host syscall + irq": max(wait_total - wakeup, 0.0),
-        "response demux + return": acc.get("vphi.phase.guest_return", 0.0),
-    }
-    # the overhead denominator: everything beyond the native operation.
-    # wait includes the native op itself (the host-side SCIF call), so
-    # subtract the native cost observed once per request.
-    native_per_req = SCIF_COSTS.one_byte_latency  # control-plane floor
-    service = phases["backend + host syscall + irq"]
-    phases["backend + host syscall + irq"] = max(service - native_per_req * n, 0.0)
-    total_overhead = sum(phases.values())
+    """Per-request phase costs from a frontend's request spans, most
+    expensive first.
+
+    The average runs over the VM's closed ``ok`` spans still in the
+    tracer's span ring (the VM's tracer holds only that VM's spans).
+    The service row includes the host-side SCIF call, so the native
+    one-byte latency is subtracted from it once per request: what is
+    left is the virtualization overhead.  The recovery row appears only
+    when some request waited out a retry or a session rebuild.  Empty
+    when no request completed, or spans are off.
+    """
+    per_op = span_breakdown(frontend.tracer, statuses=("ok",)).values()
+    n = sum(bd.count for bd in per_op)
+    if not n:
+        return []
+    rows = {row: sum(bd.phases.get(p, 0.0) for bd in per_op for p in members)
+            for row, members in breakdown_rows()}
+    rows[SERVICE_ROW] -= SCIF_COSTS.one_byte_latency * n
+    if not rows[RECOVERY_ROW]:
+        del rows[RECOVERY_ROW]
+    total_overhead = sum(rows.values())
     if total_overhead <= 0:
         return []
     out = [
-        PhaseShare(name, value / n, value / total_overhead)
-        for name, value in phases.items()
+        PhaseShare(row, value / n, value / total_overhead)
+        for row, value in rows.items()
     ]
     out.sort(key=lambda p: p.per_request, reverse=True)
     return out

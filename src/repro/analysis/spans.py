@@ -13,6 +13,9 @@ collected spans into the paper's §IV-style accounting:
 * :func:`check_span_invariants` — the machine-checkable contract behind
   that claim (monotone gap-free phases, sums matching end-to-end
   latency within ``tol``, no leaked open spans).
+* :func:`request_timeline` / :func:`render_timeline` — one request's
+  walk through Fig 3's I/O path: its phase marks, as offsets from the
+  request's start (:func:`traced_tags` lists the requests).
 * :func:`validate_chrome_trace` — structural validation of
   :meth:`Tracer.export_chrome_trace` output against the Chrome
   trace-event JSON shape Perfetto/``chrome://tracing`` accept.
@@ -27,9 +30,13 @@ from ..sim import Span, Tracer
 
 __all__ = [
     "OpSpanBreakdown",
+    "TimelineStep",
     "span_breakdown",
     "check_span_invariants",
     "render_span_breakdown",
+    "render_timeline",
+    "request_timeline",
+    "traced_tags",
     "validate_chrome_trace",
 ]
 
@@ -179,6 +186,45 @@ def render_span_breakdown(breakdowns: dict[str, OpSpanBreakdown]) -> str:
             lines.append(
                 f"    {phase:<16} {per * 1e6:9.2f} us  {bd.phase_share(phase):6.1%}"
             )
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class TimelineStep:
+    """One phase of a request: when it ended, and how far in."""
+
+    time: float
+    elapsed: float  # since the request's span opened
+    phase: str
+    op: str
+
+
+def traced_tags(tracer: Tracer) -> list[int]:
+    """The first wire tag of every closed, posted span, in submission
+    order (a retried request keeps its first tag)."""
+    posted = sorted((s for s in tracer.spans if s.tags), key=lambda s: s.start)
+    return [s.tags[0] for s in posted]
+
+
+def request_timeline(tracer: Tracer, tag: int) -> list[TimelineStep]:
+    """The phases the request posted under ``tag`` went through, in
+    order ([] when no closed span carries the tag)."""
+    for span in tracer.spans:
+        if tag in span.tags:
+            return [
+                TimelineStep(t, t - span.start, phase, span.op)
+                for phase, t in span.marks
+            ]
+    return []
+
+
+def render_timeline(steps: list[TimelineStep]) -> str:
+    if not steps:
+        return "(no span for this request)"
+    lines = [f"request timeline ({steps[0].op}):"]
+    for step in steps:
+        lines.append(f"  +{step.elapsed * 1e6:8.1f} us  {step.phase}")
+    lines.append(f"  total: {steps[-1].elapsed * 1e6:.1f} us")
     return "\n".join(lines)
 
 

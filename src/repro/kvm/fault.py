@@ -54,9 +54,8 @@ class KvmMmu:
     """The host-side second-level fault handler for one VM.
 
     Fault counts are kept on the per-VM tracer (``kvm.fault.pfnphi`` /
-    ``kvm.fault.regular``) and each PFNPHI resolution is emitted into the
-    same ``vphi.timeline`` category the SCIF ops use, so EPT faults and
-    the mmap traffic that causes them appear interleaved in one timeline.
+    ``kvm.fault.regular``); each PFNPHI resolution and each EPT zap is
+    also a ``kvm.ept`` record, kept when that category is enabled.
     """
 
     def __init__(self, vm_name: str, modified: bool = True,
@@ -97,7 +96,7 @@ class KvmMmu:
             mem, paddr = info.locate(rel)
             if paddr % PAGE_SIZE:
                 raise PageFault(page_vaddr, "PFNPHI mapping not page aligned")
-            self.tracer.emit("vphi.timeline", "EPT fault resolved to Phi memory",
+            self.tracer.emit("kvm.ept", "EPT fault resolved to Phi memory",
                              vma=vma.name, page=page_align_down(page_vaddr))
             return mem, paddr
         self.tracer.count("kvm.fault.regular")
@@ -116,6 +115,6 @@ class KvmMmu:
         zapped = space.unmap_range(vma.start, vma.end)
         self.tracer.count("kvm.zap.vma")
         self.tracer.count("kvm.zap.pages", zapped)
-        self.tracer.emit("vphi.timeline", "EPT entries zapped for rebuilt mapping",
+        self.tracer.emit("kvm.ept", "EPT entries zapped for rebuilt mapping",
                          vma=vma.name, pages=zapped)
         return zapped

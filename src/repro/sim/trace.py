@@ -1,26 +1,30 @@
 """Lightweight structured tracing and metric collection.
 
-Every layer of the stack emits trace records (``tracer.emit(...)``) and
-bumps counters; the benchmark harness reads them back to build the paper's
-breakdown analyses (e.g. the §IV-B attribution of 93 % of the latency
-overhead to the frontend wait scheme).
+Every layer of the stack bumps counters, and the vPHI datapath stamps
+one span per request.  Spans are the only latency-attribution
+mechanism: the paper's §IV-B breakdown (93 % of the latency overhead is
+the frontend wait scheme) and the per-request timelines are both views
+over them (:mod:`repro.analysis.spans`, :mod:`repro.analysis.breakdown`).
 
 Three tiers of detail, cheapest first:
 
 * **counters / accumulators / stats** — always on.  :class:`LatencyStat`
   keeps a sparse geometric histogram alongside min/mean/max, so p50/p95/
   p99 come for free wherever a latency was observed.
-* **records** — opt-in per category (``enable``) or wholesale
-  (``record_all``), stored in a capped ring buffer so a long chaos run
-  cannot grow memory without bound (drops are counted under
-  ``vphi.trace.dropped_records``).
+* **records** — rare lifecycle events (faults, retries, session
+  fences, EPT faults, thermal trips, migrations), opt-in per category
+  (``enable``) or wholesale (``record_all``), stored in a capped ring
+  buffer so a long chaos run cannot grow memory without bound (drops
+  are counted under ``vphi.trace.dropped_records``).  No request makes
+  one on a fault-free path.
 * **spans** — one :class:`Span` per request lifecycle, stamped with
   phase timestamps by every layer it crosses (frontend, ring, backend,
   pool, host).  Phase durations telescope — consecutive timestamp
   differences — so they sum to the span's end-to-end latency *exactly*.
   Completed spans export as Chrome trace-event JSON
   (:meth:`Tracer.export_chrome_trace`) loadable in ``chrome://tracing``
-  or Perfetto.
+  or Perfetto.  ``record_spans=False`` is the one switch that turns
+  them off; the breakdown then has nothing to read.
 """
 
 from __future__ import annotations
@@ -240,10 +244,11 @@ class Span:
 class Tracer:
     """Collects trace records, counters, accumulators and request spans.
 
-    Recording full records is opt-in per category (``enable``) so hot
-    paths stay cheap; counters and accumulators are always on; spans are
-    on by default (``record_spans=False`` turns the whole span layer into
-    no-ops for overhead-sensitive soaks).
+    Recording full records is opt-in per category (``enable``);
+    counters and accumulators are always on; spans are on by default
+    and carry every request's phase timing (``record_spans=False``
+    turns the whole span layer into no-ops for overhead-sensitive
+    soaks, and leaves the latency breakdown empty).
     """
 
     def __init__(
@@ -326,10 +331,7 @@ class Tracer:
         self.counters[key] += n
 
     def accumulate(self, key: str, amount: float) -> None:
-        """Add simulated seconds (or bytes, …) to a named bucket.
-
-        The latency-breakdown benches sum per-phase buckets from here.
-        """
+        """Add simulated seconds (or bytes, …) to a named bucket."""
         self.accumulators[key] += amount
 
     def observe(self, key: str, value: float) -> None:

@@ -250,9 +250,6 @@ class VPhiBackend:
         # map guest buffers + dispatch overhead
         yield self.sim.timeout(self.costs.backend)
         self.tracer.mark_tag(req.tag, SPAN_BACKEND_POP)
-        self.tracer.emit("vphi.timeline", "backend mapped buffers, dispatching",
-                         tag=req.tag, op=spec.op_name, phase=spec.phase,
-                         vm=self.vm.name)
         resp = VPhiResponse(tag=req.tag, epoch=req.epoch, op=req.op)
         try:
             # ring corruption is discovered while walking the popped
@@ -277,9 +274,6 @@ class VPhiBackend:
         self.tracer.mark_tag(req.tag, SPAN_HOST_CALL)
         self.requests_served += 1
         self.tracer.count(spec.served_key)
-        self.tracer.emit("vphi.timeline", "host call returned, irq injected",
-                         tag=req.tag, op=spec.op_name, phase=spec.phase,
-                         vm=self.vm.name)
         # the response record is written into the shared chain header
         resp.pushed_at = self.sim.now
         self.virtio.ring.push_used(elem, written=resp.written, header=resp)
@@ -342,7 +336,7 @@ class VPhiBackend:
                 self.pool.note_death(worker)
                 yield self.sim.timeout(inj.spec.outage)
                 yield self.sim.timeout(self.costs.worker_spawn)
-                self.tracer.emit("vphi.timeline",
+                self.tracer.emit("vphi.faults",
                                  "pool member died, respawned in place",
                                  tag=req.tag, op=spec.op_name,
                                  worker=worker, vm=self.vm.name)
@@ -352,7 +346,7 @@ class VPhiBackend:
                 # orphan with ECONNRESET so the ring descriptors are
                 # never leaked.
                 yield self.sim.timeout(inj.spec.outage)
-                self.tracer.emit("vphi.timeline",
+                self.tracer.emit("vphi.faults",
                                  "worker respawned, orphan request aborted",
                                  tag=req.tag, op=spec.op_name, vm=self.vm.name)
         elif inj.kind == FaultKind.CARD_RESET:
@@ -367,7 +361,7 @@ class VPhiBackend:
                     inj, origin_worker=worker if be is self else None
                 )
             yield self.sim.timeout(inj.spec.outage)
-            self.tracer.emit("vphi.timeline",
+            self.tracer.emit("vphi.faults",
                              "card reset completed, in-flight RMA aborted",
                              tag=req.tag, op=spec.op_name, vm=self.vm.name)
         elif inj.kind == FaultKind.BACKEND_RESTART:
@@ -376,7 +370,7 @@ class VPhiBackend:
             # other VMs sharing the card are untouched.
             self.on_backend_restart(inj, origin_worker=worker)
             yield self.sim.timeout(inj.spec.outage)
-            self.tracer.emit("vphi.timeline",
+            self.tracer.emit("vphi.faults",
                              "backend restarted, host endpoints lost",
                              tag=req.tag, op=spec.op_name, vm=self.vm.name)
         err = inj.make_error()
@@ -408,7 +402,7 @@ class VPhiBackend:
             # cleared the table): surface it instead of swallowing it —
             # a silently "recovered" dead handle would fail much later,
             # far from the cause.
-            self.tracer.emit("vphi.timeline",
+            self.tracer.emit("vphi.faults",
                              "re-open of unknown endpoint handle rejected",
                              handle=handle, vm=self.vm.name)
             self.tracer.count("vphi.backend.bogus_reopens")
@@ -429,7 +423,7 @@ class VPhiBackend:
             self._swap_endpoint(handle)
             self.endpoint_reopens += 1
             self.tracer.count("vphi.backend.endpoint_reopens")
-            self.tracer.emit("vphi.timeline",
+            self.tracer.emit("vphi.faults",
                              "host endpoint re-opened after driver death",
                              handle=handle, vm=self.vm.name)
         finally:
@@ -517,7 +511,7 @@ class VPhiBackend:
         self._reopening.clear()
         if self.pool is not None:
             self.pool.abort_inflight(err_factory, skip=origin_worker)
-        self.tracer.emit("vphi.timeline", "backend state invalidated",
+        self.tracer.emit("vphi.faults", "backend state invalidated",
                          cause=cause, vm=self.vm.name)
         if self.session_listener is not None:
             self.session_listener(cause)
@@ -571,7 +565,7 @@ class VPhiBackend:
         self.requests_served += 1
         self.tracer.count(spec.error_key)
         self.tracer.count(spec.served_key)
-        self.tracer.emit("vphi.timeline", "in-flight request aborted",
+        self.tracer.emit("vphi.faults", "in-flight request aborted",
                          tag=req.tag, op=spec.op_name,
                          error=type(err).__name__, vm=self.vm.name)
         resp.pushed_at = self.sim.now

@@ -131,13 +131,6 @@ class VPhiConfig:
     #: EWMA smoothing factor for the latency watermark (weight of the
     #: newest completed request's latency).
     admit_ewma_alpha: float = 0.2
-    #: request-lifecycle spans: every submit opens a per-request span
-    #: stamped with phase timestamps by the frontend, backend, pool and
-    #: session layers (see :data:`repro.vphi.ops.SPAN_PHASE_ORDER`).
-    #: Pure bookkeeping — no simulated time is charged, so the Fig 4/5
-    #: goldens are byte-identical either way; turn off to shed the
-    #: constant per-request overhead on very long soak runs.
-    trace_spans: bool = True
 
     RECOVERY_POLICIES = ("none", "queue", "fail_fast", "circuit_break")
 

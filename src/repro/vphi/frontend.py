@@ -520,7 +520,7 @@ class VPhiFrontend:
                 elif copy_t:
                     yield self.sim.timeout(copy_t)
                     copied = self.sim.now
-                in_data = self._finish(p, resp, copy_t, copied) if copy_t else None
+                in_data = self._finish(p, resp, copied) if copy_t else None
                 if not replay:
                     self.session.record(p.spec, p.orig_handle, p.req.args,
                                         resp.result)
@@ -536,8 +536,6 @@ class VPhiFrontend:
             if not returned:
                 # one response demux + syscall return for the whole batch
                 yield self.sim.timeout(self.costs.guest_return)
-            self.tracer.accumulate("vphi.phase.guest_return",
-                                   self.costs.guest_return)
             latency = self.sim.now - t0
             for p in prepared:
                 self.tracer.observe(p.spec.latency_key, latency)
@@ -568,13 +566,11 @@ class VPhiFrontend:
         """Marshal one request: header + bounce chunks + user->kernel copy."""
         spec = spec_for(op)
         self.requests += 1
-        acc = self.tracer.accumulate
         # the request's lifecycle span opens here, before any simulated
         # work, so the marshal phase covers the whole guest-kernel entry.
         # It is bound to a tag only at _post_chain (tags are allocated
         # last, and retries re-bind fresh ones).
-        span = (spec.begin_span(self.tracer, vm=self.vm.name)
-                if self.config.trace_spans else None)
+        span = spec.begin_span(self.tracer, vm=self.vm.name)
         # frontend-side fault draw: link flaps trigger by op index / name /
         # VM / time window and stall the shared PCIe medium while it
         # retrains (the request itself proceeds and rides out the stall).
@@ -596,7 +592,6 @@ class VPhiFrontend:
         else:
             yield self.sim.timeout(self.costs.frontend)
             marshalled = self.sim.now
-        acc("vphi.phase.frontend", self.costs.frontend)
         self.tracer.mark_at(span, SPAN_MARSHAL, marshalled)
         out_bb: Optional[BounceBuffers] = None
         in_bb: Optional[BounceBuffers] = None
@@ -610,7 +605,6 @@ class VPhiFrontend:
                 out_bb = BounceBuffers(
                     self.kmalloc, len(out_data), self.config.chunk_size
                 )
-                acc("vphi.phase.copy", copy_t)
                 self.tracer.mark(span, SPAN_COPY_IN)
                 # a UserRange is read through the page table only now:
                 # the bytes are the ones the user pages hold at 3i
@@ -672,19 +666,13 @@ class VPhiFrontend:
         self.tracer.count(p.spec.counter_key)
         self.tracer.bind_span(p.req.tag, p.span)
         self.tracer.mark(p.span, SPAN_POST)
-        self.tracer.emit("vphi.timeline", "request posted to ring",
-                         tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
 
     def _kick(self, group: list[_Prepared]):
         """Notify the backend once for every chain posted since the last
         kick (3c: one vmexit, however many requests it covers)."""
-        t0 = self.sim.now
         yield from self.virtio.kick()
-        self.tracer.accumulate("vphi.phase.kick", self.sim.now - t0)
         for p in group:
             self.tracer.mark(p.span, SPAN_KICK)
-            self.tracer.emit("vphi.timeline", "backend kicked (vmexit)",
-                             tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
 
     def _reap(self, p: _Prepared, deadline: Optional[float] = None):
         """Park on the configured wait scheme until p's response lands.
@@ -693,17 +681,11 @@ class VPhiFrontend:
         first — the caller's recovery watchdog.
         """
         data_bytes = max(p.req.out_nbytes, p.req.in_nbytes)
-        t0 = self.sim.now
         resp: Optional[VPhiResponse] = yield from self.wait_scheme.wait_for(
             self, p.req.tag, data_bytes, deadline
         )
-        # time parked waiting = backend + host op + irq + wakeup; the
-        # wakeup share is accumulated separately by the wait scheme.
-        self.tracer.accumulate("vphi.phase.wait", self.sim.now - t0)
         if resp is not None:
             self.tracer.mark(p.span, SPAN_GUEST_WAKE)
-            self.tracer.emit("vphi.timeline", "response reaped after wakeup",
-                             tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
         return resp
 
     def _complete(self, p: _Prepared, replay: bool = False):
@@ -751,7 +733,7 @@ class VPhiFrontend:
                 if attempt:
                     self.tracer.count(spec.recovered_key)
                     self.tracer.count("vphi.fault.recovered")
-                    self.tracer.emit("vphi.timeline", "request recovered after retry",
+                    self.tracer.emit("vphi.faults", "request recovered after retry",
                                      tag=p.req.tag, op=spec.op_name, attempts=attempt)
                 return resp
             if isinstance(err, EStaleEpoch):
@@ -762,7 +744,7 @@ class VPhiFrontend:
                     self.retries += 1
                     self.tracer.count(spec.retried_key)
                     self.tracer.count("vphi.fault.retried")
-                    self.tracer.emit("vphi.timeline",
+                    self.tracer.emit("vphi.faults",
                                      "stale epoch, awaiting session rebuild",
                                      tag=p.req.tag, op=spec.op_name,
                                      epoch=ses.epoch)
@@ -790,7 +772,7 @@ class VPhiFrontend:
             self.retries += 1
             self.tracer.count(spec.retried_key)
             self.tracer.count("vphi.fault.retried")
-            self.tracer.emit("vphi.timeline", "transient fault, retrying",
+            self.tracer.emit("vphi.faults", "transient fault, retrying",
                              tag=p.req.tag, op=spec.op_name, attempt=attempt,
                              error=type(err).__name__)
             yield self.sim.timeout(cfg.backoff_for(attempt))
@@ -799,12 +781,10 @@ class VPhiFrontend:
             yield from self._post_chain(p, replay=replay)
             yield from self._kick([p])
 
-    def _finish(self, p: _Prepared, resp: VPhiResponse, copy_t: float,
-                copied: float):
+    def _finish(self, p: _Prepared, resp: VPhiResponse, copied: float):
         """Hand over the device->guest payload once its 3ii copy-out
-        (``copy_t`` seconds, ended at ``copied``) is charged; returns the
-        gathered bytes, or None."""
-        self.tracer.accumulate("vphi.phase.copy", copy_t)
+        (ended at ``copied``) is charged; returns the gathered bytes, or
+        None."""
         self.tracer.mark_at(p.span, SPAN_COPY_OUT, copied)
         if p.in_sink is not None:
             # stream bounce-chunk views straight to the consumer —

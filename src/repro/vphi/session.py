@@ -334,7 +334,7 @@ class SessionManager:
         backend services anything else."""
         self.resets_seen += 1
         self.tracer.count("vphi.session.invalidated")
-        self.tracer.emit("vphi.timeline", "session invalidated",
+        self.tracer.emit("vphi.session", "session invalidated",
                          cause=cause, epoch=self.epoch, vm=self.vm.name)
         if not self.enabled:
             return
@@ -350,7 +350,7 @@ class SessionManager:
                 and len(self._reset_times) > self.frontend.config.recovery_max_resets):
             self.state = BROKEN
             self.tracer.count("vphi.session.circuit_open")
-            self.tracer.emit("vphi.timeline", "session circuit opened",
+            self.tracer.emit("vphi.session", "session circuit opened",
                              resets=self.resets_seen, vm=self.vm.name)
             self.rebuilt.wake_all()
             return
@@ -412,7 +412,7 @@ class SessionManager:
         self.rebuild_times.append(elapsed)
         self.tracer.count("vphi.session.recovered")
         self.tracer.observe("vphi.session.rebuild_time", elapsed)
-        self.tracer.emit("vphi.timeline", "session rebuilt",
+        self.tracer.emit("vphi.session", "session rebuilt",
                          epoch=self.epoch, replayed=self.replayed_ops,
                          elapsed=elapsed, vm=self.vm.name)
         self.rebuilt.wake_all(per_waiter_cost=self.frontend.costs.wakeup_per_waiter)
@@ -477,7 +477,7 @@ class SessionManager:
             rec.dead_reason = err
             self.translation.pop(rec.handle, None)
             self.tracer.count("vphi.session.endpoints_lost")
-            self.tracer.emit("vphi.timeline", "endpoint replay abandoned",
+            self.tracer.emit("vphi.session", "endpoint replay abandoned",
                              handle=rec.handle, error=type(err).__name__,
                              vm=self.vm.name)
 
@@ -506,7 +506,7 @@ class SessionManager:
             )
         self.state = RECOVERING
         self.tracer.count("vphi.session.migration_started")
-        self.tracer.emit("vphi.timeline", "migration started",
+        self.tracer.emit("vphi.session", "migration started",
                          dest=dest, epoch=self.epoch, vm=self.vm.name)
 
     def quiesce(self):
@@ -586,7 +586,7 @@ class SessionManager:
         self._fence_and_abort(cause)
         self.state = BROKEN
         self.tracer.count("vphi.session.evicted")
-        self.tracer.emit("vphi.timeline", "session evicted",
+        self.tracer.emit("vphi.session", "session evicted",
                          cause=cause, vm=self.vm.name)
         self.rebuilt.wake_all()
 

@@ -1,10 +1,11 @@
-"""Request timelines reconstruct the Fig 3 I/O path from live traces."""
+"""Request timelines reconstruct the Fig 3 I/O path from request spans."""
 
 import pytest
 
 from repro import Machine
-from repro.analysis.timeline import render_timeline, request_timeline, traced_tags
+from repro.analysis.spans import render_timeline, request_timeline, traced_tags
 from repro.sim import us
+from repro.vphi.ops import SPAN_PHASE_ORDER
 
 PORT = 9950
 
@@ -13,8 +14,6 @@ PORT = 9950
 def traced_vm():
     machine = Machine(cards=1).boot()
     vm = machine.create_vm("vm0")
-    vm.vphi.frontend.tracer.enable("vphi.timeline")
-    machine.tracer.enable("vphi.timeline")
     slib = machine.scif(machine.card_process("srv"))
 
     def server():
@@ -39,35 +38,31 @@ def traced_vm():
 
 def test_timeline_covers_the_fig3_path(traced_vm):
     machine, vm = traced_vm
-    tags = traced_tags(vm)
+    tags = traced_tags(vm.tracer)
     assert len(tags) == 3  # open, connect, send
     send_tag = tags[-1]
-    steps = request_timeline(vm, machine, send_tag)
-    messages = [s.message for s in steps]
-    assert messages == [
-        "request posted to ring",
-        "backend kicked (vmexit)",
-        "backend mapped buffers, dispatching",
-        "host call returned, irq injected",
-        "response reaped after wakeup",
-    ]
-    # elapsed times are monotone and end near the 382us total minus the
-    # frontend marshalling/copies before the first record
+    steps = request_timeline(vm.tracer, send_tag)
+    assert {s.op for s in steps} == {"send"}
+    # the steps are span phases, in the datapath's canonical order
+    phases = [s.phase for s in steps]
+    assert phases == [p for p in SPAN_PHASE_ORDER if p in phases]
+    assert "irq_deliver" in phases and "guest_wake" in phases
+    # elapsed times are monotone and end at the 382us Fig 4 total
     elapsed = [s.elapsed for s in steps]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
-    assert elapsed[-1] == pytest.approx(us(377), rel=0.02)
+    assert elapsed[-1] == pytest.approx(us(382), rel=0.02)
 
 
 def test_render_is_readable(traced_vm):
     machine, vm = traced_vm
-    tag = traced_tags(vm)[-1]
-    text = render_timeline(request_timeline(vm, machine, tag))
+    tag = traced_tags(vm.tracer)[-1]
+    text = render_timeline(request_timeline(vm.tracer, tag))
     assert "request timeline (send)" in text
-    assert "irq injected" in text
-    assert "total ring round trip" in text
+    assert "irq_deliver" in text
+    assert "total" in text
 
 
 def test_untraced_tag_is_empty(traced_vm):
     machine, vm = traced_vm
-    assert request_timeline(vm, machine, 10_000_000) == []
-    assert "no timeline records" in render_timeline([])
+    assert request_timeline(vm.tracer, 10_000_000) == []
+    assert "no span" in render_timeline([])

@@ -1,4 +1,9 @@
-"""Stateful property test: the physical allocator against a shadow model."""
+"""Stateful property test: the physical allocator against a shadow model.
+
+``VPHI_CHAOS_EXAMPLES`` raises the example count (nightly chaos job).
+"""
+
+import os
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.mem import OutOfMemory, PAGE_SIZE, PhysicalMemory
 
 MB = 1 << 20
+N_EXAMPLES = int(os.environ.get("VPHI_CHAOS_EXAMPLES", "20"))
 
 
 class AllocatorMachine(RuleBasedStateMachine):
@@ -71,5 +77,5 @@ class AllocatorMachine(RuleBasedStateMachine):
 
 TestAllocatorStateful = AllocatorMachine.TestCase
 TestAllocatorStateful.settings = settings(
-    max_examples=20, stateful_step_count=25, deadline=None
+    max_examples=N_EXAMPLES, stateful_step_count=25, deadline=None
 )

@@ -2,8 +2,11 @@
 
 Each example drives real bytes through every layer (guest copy -> ring ->
 backend -> host SCIF -> PCIe -> card) and back; any corruption anywhere
-in the 12-component chain fails here.
+in the 12-component chain fails here.  ``VPHI_CHAOS_EXAMPLES`` raises the
+example count (nightly chaos job).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from repro import Machine
 from repro.mem import KMALLOC_MAX_SIZE
 
 PORT = 8000
+CHAOS_EXAMPLES = os.environ.get("VPHI_CHAOS_EXAMPLES")
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +29,7 @@ def machine():
 _port_counter = [PORT]
 
 
-@settings(max_examples=12, deadline=None,
+@settings(max_examples=int(CHAOS_EXAMPLES or 12), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     sizes=st.lists(st.integers(1, 3 * KMALLOC_MAX_SIZE // 2), min_size=1, max_size=3),
@@ -71,7 +75,7 @@ def test_guest_send_arbitrary_payloads_intact(machine, sizes, seed):
     assert vm.guest_kernel.kmalloc.live == 0
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=int(CHAOS_EXAMPLES or 10), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     offset_pages=st.integers(0, 8),

@@ -339,6 +339,31 @@ class TestRecoveryPolicies:
         assert ses.recoveries == 1
         assert ses.aborted_inflight >= 1
 
+    def test_rebuild_is_recorded_under_the_session_category(self):
+        m, vm, ready = self._reset_machine("queue")
+        vm.tracer.enable("vphi.session")
+        card = m.card_node_id(0)
+        gproc = vm.guest_process("app")
+        glib = vm.vphi.libscif(gproc)
+
+        def client():
+            ep = yield from glib.open()
+            yield from glib.connect(ep, (card, PORT))
+            roff = yield ready
+            lvma = gproc.address_space.mmap(WIN, populate=True)
+            loff = yield from glib.register(ep, lvma.start, WIN)
+            yield from glib.writeto(ep, loff, WIN, roff)
+
+        vm.spawn_guest(client())
+        m.run()
+        ses = vm.vphi.frontend.session
+        assert ses.recoveries == 1
+        (rebuilt,) = [r for r in vm.tracer.find("vphi.session")
+                      if r.message == "session rebuilt"]
+        assert rebuilt.field("epoch") == ses.epoch
+        assert rebuilt.field("replayed") == ses.replayed_ops
+        assert rebuilt.field("vm") == vm.name
+
     @pytest.mark.parametrize("via", ["submit", "submit_batch"])
     def test_circuit_break_gives_up_after_repeated_resets(self, via):
         # every writeto dispatch resets the card; with a 1-reset budget

@@ -21,15 +21,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FaultKind, FaultPlan, FaultSpec, Machine
 from repro.analysis import (
+    SCIF_COSTS,
     check_span_invariants,
+    overhead_breakdown,
     render_span_breakdown,
     span_breakdown,
     validate_chrome_trace,
 )
+from repro.analysis.breakdown import breakdown_rows
 from repro.scif import MapFlag, ScifError
 from repro.scif.errors import ECONNRESET
-from repro.vphi import VPhiConfig, registered_ops
-from repro.vphi.ops import SPAN_RETRY_BACKOFF, SPAN_SESSION_WAIT
+from repro.vphi import BatchCall, VPhiConfig, VPhiOp, registered_ops, spec_for
+from repro.vphi.ops import SPAN_PHASE_ORDER, SPAN_RETRY_BACKOFF, SPAN_SESSION_WAIT
 
 N_EXAMPLES = int(os.environ.get("VPHI_CHAOS_EXAMPLES", "10"))
 
@@ -48,6 +51,19 @@ def assert_span_contract(tracer):
     for span in tracer.spans:
         assert span.status is not None
         assert abs(sum(span.phase_durations().values()) - span.elapsed) <= TOL
+
+
+def assert_breakdown_accounts_for_spans(vm):
+    """The §IV-B rows are a view over the VM's ok spans: their shares
+    sum to 1, and per request the rows plus the native floor are the
+    mean ok-span latency."""
+    ok = [s for s in vm.tracer.spans if s.status == "ok"]
+    rows = overhead_breakdown(vm.vphi.frontend)
+    assert ok and rows
+    assert sum(r.share_of_overhead for r in rows) == pytest.approx(1.0)
+    mean = sum(s.elapsed for s in ok) / len(ok)
+    floor = SCIF_COSTS.one_byte_latency
+    assert sum(r.per_request for r in rows) + floor == pytest.approx(mean, abs=TOL)
 
 
 def assert_declared_subsequence(span):
@@ -167,6 +183,41 @@ def test_fault_free_spans_close_and_telescope(workers):
     # pooled dispatch stamps the credit wait; blocking never does
     pooled_phases = dict(send.marks)
     assert ("credit_wait" in pooled_phases) == bool(workers)
+    assert_breakdown_accounts_for_spans(vm)
+
+
+def test_breakdown_rows_partition_the_span_phases():
+    """Every span phase lands in exactly one §IV-B row: nothing dropped."""
+    members = [p for _, phases in breakdown_rows() for p in phases]
+    assert sorted(members) == sorted(SPAN_PHASE_ORDER)
+
+
+def test_breakdown_covers_batched_requests():
+    """One kick, one guest return for a whole batch: each member's span
+    still telescopes, so the breakdown accounts for every request."""
+    m = Machine(cards=1).boot()
+    vm = m.create_vm("vm0")
+    payloads = [bytes([i]) * (64 << i) for i in range(4)]
+    echo_server(m, PORT, sum(map(len, payloads)))
+    glib = vm.vphi.libscif(vm.guest_process("app"))
+    send_args = spec_for(VPhiOp.SEND).marshal({})
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (m.card_node_id(0), PORT))
+        calls = [BatchCall(op=VPhiOp.SEND, handle=ep.handle, args=send_args,
+                           out_data=np.frombuffer(p, dtype=np.uint8))
+                 for p in payloads]
+        yield from vm.vphi.frontend.submit_batch(calls)
+
+    c = vm.spawn_guest(client())
+    m.run()
+    assert c.triggered
+    assert_span_contract(vm.tracer)
+    sends = [s for s in vm.tracer.spans if s.op == "send"]
+    assert len(sends) == len(payloads)
+    assert vm.vphi.virtio.kicks == 3  # open, connect, then the whole batch
+    assert_breakdown_accounts_for_spans(vm)
 
 
 def test_traced_pingpong_stamps_fused_phases_arithmetically():
@@ -250,11 +301,12 @@ def test_span_breakdown_and_export_agree_with_spans():
 
 
 def test_spans_disabled_adds_no_simulated_time():
-    """trace_spans=False must not change the simulation by a tick."""
+    """record_spans=False must not change the simulation by a tick."""
 
-    def run(trace_spans):
+    def run(record_spans):
         m = Machine(cards=1).boot()
-        vm = m.create_vm("vm0", vphi_config=VPhiConfig(trace_spans=trace_spans))
+        vm = m.create_vm("vm0")
+        vm.tracer.record_spans = record_spans
         echo_server(m, PORT, 8)
         gproc = vm.guest_process("app")
         glib = vm.vphi.libscif(gproc)
@@ -267,12 +319,14 @@ def test_spans_disabled_adds_no_simulated_time():
 
         vm.spawn_guest(client())
         m.run()
-        return m.sim.now, len(vm.tracer.spans)
+        return m.sim.now, len(vm.tracer.spans), overhead_breakdown(vm.vphi.frontend)
 
-    t_on, spans_on = run(True)
-    t_off, spans_off = run(False)
+    t_on, spans_on, rows_on = run(True)
+    t_off, spans_off, rows_off = run(False)
     assert t_on == t_off  # byte-identical clock, not approximately
     assert spans_on > 0 and spans_off == 0
+    # the breakdown reads nothing but spans
+    assert rows_on and rows_off == []
 
 
 # ----------------------------------------------------------------------
@@ -464,3 +518,8 @@ def test_property_spans_survive_chaos(specs, ops, workers):
     assert validate_chrome_trace(vm.tracer.export_chrome_trace()) == []
     for span in vm.tracer.spans:
         assert span.status in ("ok", "error", "timeout", "stale")
+    # retries and session waits land in the breakdown's recovery row,
+    # so its shares stay exhaustive on any fault path
+    if any(s.status == "ok" for s in vm.tracer.spans):
+        rows = overhead_breakdown(vm.vphi.frontend)
+        assert sum(r.share_of_overhead for r in rows) == pytest.approx(1.0)
